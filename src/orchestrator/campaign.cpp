@@ -252,11 +252,6 @@ void push_group_subset(JobQueue& queue,
 
 void Campaign::expand(JobQueue& queue) const { push_groups(queue, groups()); }
 
-void Campaign::expand_subset(
-    JobQueue& queue, const std::vector<std::size_t>& group_indices) const {
-  push_group_subset(queue, groups(), group_indices);
-}
-
 std::size_t Campaign::job_count() const {
   std::size_t count = 0;
   for (const JobGroup& group : groups()) {

@@ -109,11 +109,6 @@ class Campaign {
   /// schedulers; run() does this internally.
   void expand(JobQueue& queue) const;
 
-  /// Expands only the named groups (indices into groups()) — the shard-
-  /// subset form the campaign service's workers run.
-  void expand_subset(JobQueue& queue,
-                     const std::vector<std::size_t>& group_indices) const;
-
   /// Number of jobs expand() would push.
   std::size_t job_count() const;
 
@@ -155,8 +150,8 @@ class Campaign {
 void push_groups(JobQueue& queue,
                  const std::vector<Campaign::JobGroup>& groups);
 
-/// Pushes only the named groups (indices into `groups`) — expand_subset()
-/// for a materialized group list. Throws util::InvalidArgument on an
+/// Pushes only the named groups (indices into `groups`) — the shard-subset
+/// form the campaign service's workers run. Throws util::InvalidArgument on an
 /// out-of-range index.
 void push_group_subset(JobQueue& queue,
                        const std::vector<Campaign::JobGroup>& groups,

@@ -10,6 +10,24 @@
 #include "util/hex.hpp"
 
 namespace ao::service {
+
+bool parse_u64_token(const std::string& token, std::uint64_t& value) {
+  if (token.empty()) {
+    return false;
+  }
+  value = 0;
+  for (const char c : token) {
+    if (c < '0' || c > '9') {
+      return false;
+    }
+    if (value > (UINT64_MAX - static_cast<std::uint64_t>(c - '0')) / 10) {
+      return false;  // overflow
+    }
+    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+  }
+  return true;
+}
+
 namespace {
 
 std::vector<std::string> split_csv(const std::string& token) {
@@ -30,23 +48,6 @@ std::string lowercase(const std::string& s) {
     return static_cast<char>(std::tolower(c));
   });
   return out;
-}
-
-bool parse_u64_token(const std::string& token, std::uint64_t& value) {
-  if (token.empty()) {
-    return false;
-  }
-  value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    if (value > (UINT64_MAX - static_cast<std::uint64_t>(c - '0')) / 10) {
-      return false;  // overflow
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return true;
 }
 
 bool parse_size_list(const std::string& token, std::vector<std::size_t>& out) {

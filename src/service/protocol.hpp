@@ -83,6 +83,12 @@ struct CampaignRequest {
   std::vector<std::string> to_lines() const;
 };
 
+/// The one decimal parser of the protocol surface: digits only (no sign,
+/// no whitespace, not empty), and false instead of wrapping past 2^64 - 1.
+/// Request directives, `query` values, task payloads and the binaries'
+/// numeric flags all read numbers through it.
+bool parse_u64_token(const std::string& token, std::uint64_t& value);
+
 /// Whitespace tokenizer shared by the protocol parser and the service's
 /// session loop.
 std::vector<std::string> split_words(const std::string& line);
@@ -104,7 +110,7 @@ bool valid_campaign_name(const std::string& name);
 ///   bad-name        invalid campaign name on `begin`
 ///   bad-state       command out of sequence (nested begin, run w/o begin…)
 ///   bad-request     a structurally complete request that cannot run
-///                   (no chips, no work)
+///                   (no chips, no work), or an over-long request line
 ///   unknown-command command word the service does not know
 ///   quota-queued    per-client queued-campaign quota exhausted
 ///   exec-failed     the campaign threw while executing

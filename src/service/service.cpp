@@ -1,21 +1,26 @@
 #include "service/service.hpp"
 
+#include <poll.h>
+#include <spawn.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdio>
+#include <cerrno>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <thread>
 #include <unordered_set>
 #include <vector>
 
 #include "orchestrator/store_index.hpp"
 #include "service/shard_planner.hpp"
+#include "service/socket.hpp"
 #include "service/worker_link.hpp"
-#include "service/worker_pool.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 
@@ -47,6 +52,30 @@ void reply_error(std::ostream& out, const std::string& code,
   out << '\n';
 }
 
+/// Reads one request line (without its newline) and never buffers more than
+/// kMaxRequestLineBytes of it: the rest of a longer line is consumed and
+/// dropped, and `oversize` reports the cut. Returns false at end of stream.
+bool read_request_line(std::istream& in, std::string& line, bool& oversize) {
+  line.clear();
+  oversize = false;
+  std::streambuf& buf = *in.rdbuf();
+  for (;;) {
+    const auto c = buf.sbumpc();
+    if (c == std::char_traits<char>::eof()) {
+      in.setstate(std::ios::eofbit);
+      return !line.empty() || oversize;
+    }
+    if (c == '\n') {
+      return true;
+    }
+    if (line.size() < CampaignService::kMaxRequestLineBytes) {
+      line.push_back(static_cast<char>(c));
+    } else {
+      oversize = true;
+    }
+  }
+}
+
 /// Records a campaign will stream: one per job that produces a cacheable
 /// record (every kind except the verify jobs, whose verdict rides on the
 /// measurement's record).
@@ -63,39 +92,142 @@ std::size_t expected_record_count(
   return count;
 }
 
-/// Incremental reader over one shard's write-through store: consumes the
-/// complete lines appended since the last poll (a half-flushed tail line is
-/// left for the next round), skipping the version header.
-struct StoreTail {
-  std::string path;
-  std::streamoff offset = 0;
-  std::size_t shard_index = 0;
-  std::size_t records = 0;  ///< entries streamed from this shard so far
+using Leases = std::vector<std::unique_ptr<WorkerRegistry::Lease>>;
 
-  template <typename LineFn>
-  void poll(LineFn&& on_line) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return;  // the worker has not created the store yet
+/// How long a local worker may take to send its hello. A far end that never
+/// speaks the protocol (a misconfigured worker binary) fails the campaign
+/// instead of hanging it.
+constexpr int kLocalHelloTimeoutMs = 30000;
+
+/// The campaign-scoped fleet behind local shards. Each endpoint is one end
+/// of a socketpair whose far end speaks the worker frame protocol: an
+/// `ao_worker --stdio-frames --name local` child (the socket dup'd onto its
+/// stdin/stdout), or — with no worker binary configured — a thread running
+/// run_worker_session(). Every far end that sends its hello is acked and
+/// parked in a private WorkerRegistry, exactly like a connecting remote
+/// worker, so local shards ride the same lease/driver loop. The destructor
+/// shuts the registry down (parked endpoints get their `bye`), joins every
+/// thread and reaps every child: nothing outlives the campaign.
+class LocalFleet {
+ public:
+  LocalFleet(const std::string& worker_binary, std::size_t count) {
+    try {
+      start(worker_binary, count);
+    } catch (...) {
+      stop();  // the destructor will not run for a half-built fleet
+      throw;
     }
-    in.seekg(offset);
-    std::ostringstream chunk;
-    chunk << in.rdbuf();
-    const std::string buffered = chunk.str();
-    std::size_t pos = 0;
-    for (;;) {
-      const std::size_t newline = buffered.find('\n', pos);
-      if (newline == std::string::npos) {
+  }
+
+  ~LocalFleet() { stop(); }
+
+  LocalFleet(const LocalFleet&) = delete;
+  LocalFleet& operator=(const LocalFleet&) = delete;
+
+  WorkerRegistry& registry() { return registry_; }
+  /// The first endpoint that failed to start, "" when every one parked.
+  const std::string& error() const { return error_; }
+
+  /// One lease per parked endpoint. Each acquire returns as soon as that
+  /// endpoint's park thread has registered it.
+  Leases lease_all() {
+    Leases leases;
+    while (leases.size() < parked_) {
+      auto lease = registry_.acquire(kLocalHelloTimeoutMs);
+      if (lease == nullptr) {
         break;
       }
-      const std::string line = buffered.substr(pos, newline - pos);
-      pos = newline + 1;
-      if (!line.empty() && line != orchestrator::store_header_line()) {
-        on_line(line);
+      leases.push_back(std::move(lease));
+    }
+    return leases;
+  }
+
+ private:
+  void start(const std::string& worker_binary, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      int fds[2];
+      if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+        note_error(std::string("socketpair failed: ") + std::strerror(errno));
+        continue;
+      }
+      if (!start_far_end(worker_binary, fds[1])) {
+        ::close(fds[0]);
+        continue;
+      }
+      pollfd ready{fds[0], POLLIN, 0};
+      auto stream = std::make_unique<SocketStream>(fds[0]);
+      std::string hello;
+      if (::poll(&ready, 1, kLocalHelloTimeoutMs) != 1 ||
+          !std::getline(*stream, hello) || hello.rfind("worker ", 0) != 0) {
+        // Closing the stream tells a far end that is still alive to exit.
+        note_error("local worker exited before its hello");
+        continue;
+      }
+      *stream << "ok worker local\n";
+      stream->flush();
+      ++parked_;
+      threads_.emplace_back([this, stream = std::move(stream)] {
+        registry_.park("local", *stream, *stream);
+      });
+    }
+  }
+
+  /// Parked endpoints get their `bye` (the far ends exit on it), then
+  /// every thread is joined and every child reaped.
+  void stop() {
+    registry_.shutdown();
+    for (std::thread& thread : threads_) {
+      thread.join();
+    }
+    threads_.clear();
+    for (const pid_t pid : children_) {
+      while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
       }
     }
-    offset += static_cast<std::streamoff>(pos);
+    children_.clear();
   }
+
+  /// Starts the far end on `fd` (which this call closes on every path but
+  /// the thread one, where the thread owns it).
+  bool start_far_end(const std::string& worker_binary, int fd) {
+    if (worker_binary.empty()) {
+      threads_.emplace_back([fd] {
+        SocketStream stream(fd);
+        run_worker_session(stream, stream, "local");
+      });
+      return true;
+    }
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    posix_spawn_file_actions_adddup2(&actions, fd, STDIN_FILENO);
+    posix_spawn_file_actions_adddup2(&actions, fd, STDOUT_FILENO);
+    const char* argv[] = {worker_binary.c_str(), "--stdio-frames", "--name",
+                          "local", nullptr};
+    pid_t pid = 0;
+    const int rc =
+        ::posix_spawn(&pid, worker_binary.c_str(), &actions, nullptr,
+                      const_cast<char* const*>(argv), environ);
+    posix_spawn_file_actions_destroy(&actions);
+    ::close(fd);
+    if (rc != 0) {
+      note_error("cannot start " + worker_binary + ": " + std::strerror(rc));
+      return false;
+    }
+    children_.push_back(pid);
+    return true;
+  }
+
+  void note_error(const std::string& message) {
+    if (error_.empty()) {
+      error_ = message;
+    }
+  }
+
+  WorkerRegistry registry_;  // heartbeat 0: the endpoints live one campaign
+  std::vector<std::thread> threads_;  ///< park threads + in-process workers
+  std::vector<pid_t> children_;
+  std::size_t parked_ = 0;
+  std::string error_;
 };
 
 }  // namespace
@@ -199,7 +331,15 @@ std::vector<std::string> CampaignService::start_log() const {
 bool CampaignService::serve(std::istream& in, std::ostream& out) {
   RequestBuilder builder;
   std::string line;
-  while (std::getline(in, line)) {
+  bool oversize = false;
+  while (read_request_line(in, line, oversize)) {
+    if (oversize) {
+      reply_error(out, "bad-request",
+                  "request line longer than " +
+                      std::to_string(kMaxRequestLineBytes) + " bytes");
+      out.flush();
+      continue;
+    }
     if (!line.empty() && line.back() == '\r') {
       line.pop_back();
     }
@@ -810,6 +950,31 @@ void CampaignService::run_in_process(
       << '\n';
 }
 
+/// One sharded campaign's client stream and settlement state, shared by its
+/// dispatch rounds: remote workers first, then the local fleet for whatever
+/// they left. While drivers run, the stream fields (`seen`, `streamed`,
+/// `out`) are guarded by the round's out_mutex and `retries` by its
+/// work_mutex.
+struct CampaignService::ShardDispatch {
+  const CampaignRequest& request;
+  std::size_t expected_records;
+  std::uint64_t root_span;
+  const orchestrator::StopFn& should_stop;
+  CampaignJournal* journal;
+  std::ostream& out;
+  /// Every entry line this campaign has streamed. A shard retried after its
+  /// worker died replays records its first attempt already shipped; the set
+  /// keeps the client's record stream exactly-once (identical keys carry
+  /// bit-identical records, so the line itself is the dedupe key).
+  std::unordered_set<std::string> seen{};
+  std::size_t streamed = 0;
+  std::size_t merged = 0;
+  std::size_t retries = 0;  ///< re-dispatches, against request.shard_retries
+  std::string failure{};    ///< the first structured failure; "" = none
+
+  bool stopped() const { return should_stop && !should_stop().empty(); }
+};
+
 void CampaignService::run_sharded(
     const CampaignRequest& request,
     const std::shared_ptr<const orchestrator::CompiledCampaign>& compiled,
@@ -821,6 +986,8 @@ void CampaignService::run_sharded(
       compiled->groups;
   const std::uint64_t options_fp =
       orchestrator::options_fingerprint(request.options());
+  ShardDispatch run{request, expected_records, root_span, should_stop,
+                    journal, out};
 
   // Warm-cache serving + shard planning are scheduling work — one `schedule`
   // span (nested under the campaign root, still open on this thread).
@@ -832,14 +999,7 @@ void CampaignService::run_sharded(
   // a sharded rerun streams its repeated points instantly and only the
   // missing groups cost a worker. Each group has exactly one cacheable job
   // — its root — so a root hit settles the whole group.
-  std::size_t streamed = 0;
   std::size_t warm_hits = 0;
-  // Every entry line this campaign has streamed. A shard retried after its
-  // worker died — or rerun on the local pool — replays records its first
-  // attempt already shipped; the set keeps the client's record stream
-  // exactly-once (identical keys carry bit-identical records, so the line
-  // itself is the dedupe key).
-  std::unordered_set<std::string> seen;
   std::vector<std::size_t> pending;  // group indices the workers must run
   for (std::size_t i = 0; i < groups.size(); ++i) {
     const ExperimentJob& root = groups[i].jobs.front();
@@ -851,12 +1011,12 @@ void CampaignService::run_sharded(
       const orchestrator::CacheKey key =
           orchestrator::key_for_job(root, options_fp);
       const std::string entry = orchestrator::format_store_entry(key, *hit);
-      seen.insert(entry);
+      run.seen.insert(entry);
       journal_append(journal, key);
       out << "record " << entry << '\n';
-      ++streamed;
+      ++run.streamed;
       ++warm_hits;
-      out << "progress " << streamed << "/" << expected_records << '\n';
+      out << "progress " << run.streamed << "/" << expected_records << '\n';
     } else {
       pending.push_back(i);
     }
@@ -891,15 +1051,14 @@ void CampaignService::run_sharded(
   const std::vector<std::vector<std::size_t>>& shard_groups =
       memoized == nullptr ? planned : *memoized;
 
-  // Shard work lists: campaign group indices per non-empty shard. Which
-  // transport runs them — remote workers over frames, or local workers
-  // over tailed disk stores — is decided below; the plan is the same.
-  std::vector<WorkerPool::ShardTask> tasks;
+  // Shard work lists: campaign group indices per non-empty shard. Remote
+  // workers and the local fleet run them through the same driver loop.
+  std::vector<ShardTask> tasks;
   for (std::size_t shard = 0; shard < shard_groups.size(); ++shard) {
     if (shard_groups[shard].empty()) {
       continue;
     }
-    WorkerPool::ShardTask task;
+    ShardTask task;
     task.shard_index = shard;
     for (const std::size_t pending_index : shard_groups[shard]) {
       task.groups.push_back(pending[pending_index]);
@@ -908,150 +1067,82 @@ void CampaignService::run_sharded(
   }
   schedule.close();
 
-  std::size_t merged = 0;
   std::size_t remote_executed = 0;
-  std::size_t retries = 0;
-  std::string failure;
   bool remote = false;
-  std::vector<WorkerPool::ShardTask> local_tasks = tasks;
+  std::vector<ShardTask> local_tasks = tasks;
   if (!tasks.empty() &&
       (config_.remote_only || registry_.idle_count() > 0)) {
-    // Remote transport: connected `ao_worker --connect` processes exchange
-    // stores over their sockets — no shared filesystem. Falls back to the
-    // local path (returns false) when every worker was snatched by a
-    // concurrent campaign, unless remote_only forbids it.
-    std::vector<WorkerPool::ShardTask> leftover;
-    remote = run_shards_remote(request, tasks, expected_records, root_span,
-                               should_stop, journal, &seen, &streamed,
-                               &merged, &remote_executed, &retries, &leftover,
-                               &failure, out);
-    if (remote) {
+    // Connected `ao_worker --connect` processes first. Retire endpoints
+    // that stopped answering before handing out leases: a worker that died
+    // while parked must not cost a shard its first attempt. remote_only
+    // waits for the first worker to connect (a launch race is normal
+    // operations); otherwise only already-idle workers are taken, and every
+    // worker snatched by a concurrent campaign leaves the shards local.
+    registry_.heartbeat();
+    Leases leases;
+    auto lease =
+        registry_.acquire(config_.remote_only ? config_.remote_wait_ms : 0);
+    while (lease != nullptr) {
+      leases.push_back(std::move(lease));
+      lease = leases.size() < tasks.size() ? registry_.acquire(0) : nullptr;
+    }
+    if (!leases.empty()) {
+      remote = true;
+      local_tasks = drive_shards(registry_, std::move(leases), tasks,
+                                 config_.remote_only, run, &remote_executed);
       if (config_.remote_only) {
         // Leftover shards may not touch this host; report them (unless the
         // campaign was cancelled — then the cancel is the story).
-        if (!leftover.empty() && failure.empty() &&
-            (!should_stop || should_stop().empty())) {
-          failure = "shard " + std::to_string(leftover.front().shard_index) +
-                    " never ran (no healthy remote worker left; remote-only)";
+        if (!local_tasks.empty() && run.failure.empty() && !run.stopped()) {
+          run.failure =
+              "shard " + std::to_string(local_tasks.front().shard_index) +
+              " never ran (no healthy remote worker left; remote-only)";
         }
         local_tasks.clear();
-      } else {
-        // Shards that produced nothing remotely (a stale dead endpoint, a
-        // worker lost before its first record) rerun on the local pool —
-        // a flaky worker farm degrades to the local transport instead of
-        // failing a campaign this daemon could run itself.
-        local_tasks = std::move(leftover);
       }
+      // Otherwise shards that produced nothing remotely (a stale dead
+      // endpoint, a worker lost before its first record) run locally — a
+      // flaky worker farm degrades to local workers instead of failing a
+      // campaign this daemon could run itself.
+    } else if (config_.remote_only) {
+      run.failure = "no remote workers connected (remote-only mode; waited " +
+                    std::to_string(config_.remote_wait_ms) + " ms)";
+      local_tasks.clear();
     }
   }
-  // Cancellation observed between the transports: leftover shards stay
-  // unrun — the local pool has no mid-flight stop hook, so the check
-  // happens before it launches anything.
-  std::string stop_code = should_stop ? should_stop() : std::string{};
-  if (!stop_code.empty()) {
-    local_tasks.clear();
+  if (!local_tasks.empty() && !run.stopped()) {
+    // Local shards: a campaign-scoped fleet, one worker per shard, reaped
+    // before this block ends. A local endpoint that dies mid-shard leaves
+    // no other transport to fall back to, so a spent retry budget fails.
+    LocalFleet fleet(config_.worker_binary, local_tasks.size());
+    Leases leases = fleet.lease_all();
+    const std::vector<ShardTask> unrun =
+        leases.empty() ? local_tasks
+                       : drive_shards(fleet.registry(), std::move(leases),
+                                      local_tasks, /*lost_fails=*/true, run,
+                                      nullptr);
+    if (!unrun.empty() && run.failure.empty() && !run.stopped()) {
+      run.failure = "shard " + std::to_string(unrun.front().shard_index) +
+                    " never ran (" +
+                    (fleet.error().empty() ? "no local worker left"
+                                           : fleet.error()) +
+                    ")";
+    }
   }
-  if (!local_tasks.empty()) {
-    // Local transport: spawned processes (or threads) write per-shard disk
-    // stores the service tails. The campaign id keeps concurrent sharded
-    // campaigns' scratch files apart even when they share a name.
-    const std::string base =
-        config_.shard_dir + "/" + request.name + "-c" + std::to_string(id);
-    std::vector<StoreTail> tails;
-    for (WorkerPool::ShardTask& task : local_tasks) {
-      task.store_path =
-          base + "-shard" + std::to_string(task.shard_index) + ".aocache";
-      std::remove(task.store_path.c_str());  // never tail a stale store
-      tails.push_back({task.store_path, 0, task.shard_index, 0});
-      out << "shard " << task.shard_index << " start local\n";
-    }
-    out.flush();
-    const auto drain = [&] {
-      for (StoreTail& tail : tails) {
-        tail.poll([&](const std::string& line) {
-          // Only structurally sound entries are streamed (the merge below
-          // re-validates through ResultCache::load anyway), and only lines
-          // no remote attempt of this shard already shipped.
-          const auto parsed = orchestrator::parse_store_entry(line);
-          if (parsed.has_value() && seen.insert(line).second) {
-            journal_append(journal, parsed->first);
-            out << "record " << line << '\n';
-            ++streamed;
-            ++tail.records;
-            out << "progress " << streamed << "/" << expected_records
-                << '\n';
-          }
-        });
-      }
-      out.flush();
-    };
-
-    WorkerPool pool(config_.worker_binary);
-    const std::uint64_t shards_start_ns = profiler_.now();
-    pool.start(request, base + ".request", local_tasks);
-    while (pool.busy()) {
-      drain();
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    const std::vector<WorkerPool::ShardOutcome> outcomes = pool.wait();
-    const std::uint64_t shards_end_ns = profiler_.now();
-    drain();  // the final records written between the last poll and exit
-    // One `shard` span per local shard, measured manually: the pool's
-    // workers run in their own processes, so start/end are observed from
-    // this tail loop, not from inside the shard.
-    for (const auto& task : local_tasks) {
-      profiler_.record(obs::Phase::kShard, shards_start_ns, shards_end_ns,
-                       root_span,
-                       "shard-" + std::to_string(task.shard_index) + " local");
-    }
-
-    // Merge every produced store into the warm cache (merge_store
-    // propagates the entries to the service's own persistent store) —
-    // conflict-free by CacheKey (two shards never run the same group, and
-    // identical keys carry bit-identical records). A failed shard's partial
-    // store still merges: its finished points are real measurements.
-    for (const auto& task : local_tasks) {
-      merged += cache_.merge_store(task.store_path);
-    }
-    for (const auto& outcome : outcomes) {
-      std::size_t records = 0;
-      for (const StoreTail& tail : tails) {
-        if (tail.shard_index == outcome.shard_index) {
-          records = tail.records;
-        }
-      }
-      if (outcome.exit_code == 0) {
-        out << "shard " << outcome.shard_index << " done records " << records
-            << " worker local\n";
-      } else {
-        out << "shard " << outcome.shard_index << " error exit "
-            << outcome.exit_code;
-        if (!outcome.error.empty()) {
-          out << ' ' << one_line(outcome.error);
-        }
-        out << '\n';
-        if (failure.empty()) {
-          failure = "shard " + std::to_string(outcome.shard_index) +
-                    " failed (exit " + std::to_string(outcome.exit_code) +
-                    ")" + (outcome.error.empty() ? "" : ": " + outcome.error);
-        }
-      }
-    }
-    out.flush();
-  }
+  const std::string stop_code = should_stop ? should_stop() : std::string{};
 
   {
     std::lock_guard lock(totals_mutex_);
     ++totals_.campaigns;
     ++totals_.sharded_campaigns;
-    totals_.records_streamed += streamed;
+    totals_.records_streamed += run.streamed;
     totals_.cache_hits += warm_hits;
-    totals_.merged_entries += merged;
+    totals_.merged_entries += run.merged;
     totals_.remote_shards += remote_executed;
-    totals_.shard_retries += retries;
+    totals_.shard_retries += run.retries;
   }
-  if (!failure.empty()) {
-    out << "error exec-failed campaign " << id << " " << one_line(failure)
+  if (!run.failure.empty()) {
+    out << "error exec-failed campaign " << id << " " << one_line(run.failure)
         << '\n';
     return;
   }
@@ -1063,57 +1154,26 @@ void CampaignService::run_sharded(
     note_cancelled(stop_code);
     out << stop_code << " campaign " << id << '\n';
     out << "error " << stop_code << " campaign " << id << " records "
-        << streamed << " of " << expected_records << " streamed before stop\n";
+        << run.streamed << " of " << expected_records
+        << " streamed before stop\n";
     return;
   }
-  out << "done campaign " << id << " records " << streamed << " merged "
-      << merged << " hits " << warm_hits << " shards " << tasks.size();
+  out << "done campaign " << id << " records " << run.streamed << " merged "
+      << run.merged << " hits " << warm_hits << " shards " << tasks.size();
   if (remote) {
     out << " remote " << remote_executed;
   }
   out << '\n';
 }
 
-bool CampaignService::run_shards_remote(
-    const CampaignRequest& request,
-    const std::vector<WorkerPool::ShardTask>& tasks,
-    std::size_t expected_records, std::uint64_t root_span,
-    const orchestrator::StopFn& should_stop, CampaignJournal* journal,
-    std::unordered_set<std::string>* seen, std::size_t* streamed,
-    std::size_t* merged, std::size_t* remote_executed,
-    std::size_t* retries_used, std::vector<WorkerPool::ShardTask>* leftover,
-    std::string* failure, std::ostream& out) {
-  // Retire endpoints that stopped answering before handing out leases: a
-  // worker that died while parked must not cost a shard its first attempt.
-  registry_.heartbeat();
-
-  // Check out one lease per shard when possible; fewer leases simply run
-  // the task list sequentially per worker. remote_only waits for the first
-  // worker to connect (a launch race is normal operations); otherwise only
-  // already-idle workers are taken.
-  std::vector<std::unique_ptr<WorkerRegistry::Lease>> leases;
-  auto first = registry_.acquire(config_.remote_only ? config_.remote_wait_ms
-                                                     : 0);
-  if (first == nullptr) {
-    if (!config_.remote_only) {
-      return false;  // all workers got snatched; run the shards locally
-    }
-    *failure = "no remote workers connected (remote-only mode; waited " +
-               std::to_string(config_.remote_wait_ms) + " ms)";
-    return true;
-  }
-  leases.push_back(std::move(first));
-  while (leases.size() < tasks.size()) {
-    auto lease = registry_.acquire(0);
-    if (lease == nullptr) {
-      break;
-    }
-    leases.push_back(std::move(lease));
-  }
-
+std::vector<CampaignService::ShardTask> CampaignService::drive_shards(
+    WorkerRegistry& registry,
+    std::vector<std::unique_ptr<WorkerRegistry::Lease>> leases,
+    const std::vector<ShardTask>& tasks, bool lost_fails, ShardDispatch& run,
+    std::size_t* completed) {
   // Shared work state, guarded by work_mutex: the undispatched work list
   // (a shard enters more than once only after its endpoint died), the
-  // per-campaign retry budget, and each shard's settlement. partial_lines
+  // campaign's retry budget, and each shard's settlement. partial_lines
   // banks the entry lines every lost attempt managed to ship — they merge
   // below even when no retry succeeds.
   struct Work {
@@ -1125,14 +1185,14 @@ bool CampaignService::run_shards_remote(
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     work.push_back({i, 0});
   }
-  std::size_t retries_left = request.shard_retries;
   std::vector<char> settled(tasks.size(), 0);
   std::vector<RemoteShardOutcome> outcomes(tasks.size());
   std::vector<std::vector<std::string>> partial_lines(tasks.size());
 
   // All client writes (records, progress, shard events) synchronize on
-  // out_mutex; `seen` is guarded by it too.
+  // out_mutex; the dispatch's stream state is guarded by it too.
   std::mutex out_mutex;
+  std::ostream& out = run.out;
   const auto stream_line = [&](const std::string& line) {
     // Stream each entry the moment its frame arrives — unless an earlier
     // attempt of a retried shard already shipped it. The merge below
@@ -1145,13 +1205,13 @@ bool CampaignService::run_shards_remote(
         &profiler_, obs::Phase::kSerialize,
         obs::TimelineProfiler::kInheritParent, "record");
     std::lock_guard lock(out_mutex);
-    if (!seen->insert(line).second) {
+    if (!run.seen.insert(line).second) {
       return;
     }
-    journal_append(journal, parsed->first);
+    journal_append(run.journal, parsed->first);
     out << "record " << line << '\n';
-    ++*streamed;
-    out << "progress " << *streamed << "/" << expected_records << '\n';
+    ++run.streamed;
+    out << "progress " << run.streamed << "/" << run.expected_records << '\n';
     out.flush();
   };
 
@@ -1161,7 +1221,7 @@ bool CampaignService::run_shards_remote(
   // or a fresh lease from the round loop below.
   const auto drive = [&](WorkerRegistry::Lease* lease) {
     for (;;) {
-      if (should_stop && !should_stop().empty()) {
+      if (run.stopped()) {
         return;  // cancelled: leave the remaining work unrun
       }
       Work item;
@@ -1186,16 +1246,16 @@ bool CampaignService::run_shards_remote(
         // shard was re-dispatched (the attempt's own time is its `shard`
         // span, as always).
         const std::uint64_t now = profiler_.now();
-        profiler_.record(obs::Phase::kRetry, now, now, root_span,
+        profiler_.record(obs::Phase::kRetry, now, now, run.root_span,
                          "shard-" + std::to_string(tasks[i].shard_index) +
                              " worker " + lease->name());
       }
-      // One `shard` span per remote round-trip, parented explicitly under
+      // One `shard` span per worker round-trip, parented explicitly under
       // the campaign root (this driver thread has no inherited scope); the
       // conversation's `transport` span nests under it inside
       // run_remote_shard.
       obs::TimelineProfiler::Scope shard_span(
-          &profiler_, obs::Phase::kShard, root_span,
+          &profiler_, obs::Phase::kShard, run.root_span,
           "shard-" + std::to_string(tasks[i].shard_index) + " worker " +
               lease->name());
       // The graft context stamps this endpoint's name on the worker spans
@@ -1205,7 +1265,7 @@ bool CampaignService::run_shards_remote(
       graft.origin = lease->name();
       graft.has_clock_offset = lease->clock_offset(&graft.clock_offset_ns);
       RemoteShardOutcome outcome = run_remote_shard(
-          lease->in(), lease->out(), request, tasks[i].shard_index,
+          lease->in(), lease->out(), run.request, tasks[i].shard_index,
           tasks[i].groups, stream_line, &profiler_, &graft);
       shard_span.close();
       if (!outcome.connection_lost) {
@@ -1238,9 +1298,8 @@ bool CampaignService::run_shards_remote(
         std::lock_guard lock(work_mutex);
         auto& bank = partial_lines[i];
         bank.insert(bank.end(), outcome.lines.begin(), outcome.lines.end());
-        if (retries_left > 0) {
-          --retries_left;
-          ++*retries_used;
+        if (run.retries < run.request.shard_retries) {
+          ++run.retries;
           work.push_back({i, item.attempt + 1});
           retrying = true;
         } else {
@@ -1264,7 +1323,7 @@ bool CampaignService::run_shards_remote(
   // Rounds: run the current leases to completion, then — when dead
   // endpoints left requeued work and no driver survived — lease whatever
   // healthy workers remain and go again. No healthy worker left ends the
-  // loop with the work unrun (it surfaces through `leftover`).
+  // loop with the work unrun (it comes back to the caller).
   for (;;) {
     std::vector<std::thread> drivers;
     drivers.reserve(leases.size());
@@ -1280,12 +1339,12 @@ bool CampaignService::run_shards_remote(
       std::lock_guard lock(work_mutex);
       remaining = work.size();
     }
-    if (remaining == 0 || (should_stop && !should_stop().empty())) {
+    if (remaining == 0 || run.stopped()) {
       break;
     }
-    registry_.heartbeat();  // don't lease an endpoint that just died parked
+    registry.heartbeat();  // don't lease an endpoint that just died parked
     while (leases.size() < remaining) {
-      auto lease = registry_.acquire(0);
+      auto lease = registry.acquire(0);
       if (lease == nullptr) {
         break;
       }
@@ -1297,12 +1356,12 @@ bool CampaignService::run_shards_remote(
   }
 
   // Merge what each shard shipped. A completed shard's final `store` frame
-  // is authoritative (byte-for-byte the store a local worker would have
-  // written) and already covers any banked partial lines — merges are
+  // is authoritative (the worker's whole result store) and already covers any banked partial lines — merges are
   // idempotent by CacheKey, identical keys carry bit-identical records.
   // For everything else the banked partials merge (real measurements are
-  // never discarded) and the shard either lands in `leftover` or reports a
+  // never discarded) and the shard either returns unrun or reports a
   // structured failure.
+  std::vector<ShardTask> unrun;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const auto merge_lines = [&](const std::vector<std::string>& lines) {
       if (lines.empty()) {
@@ -1314,35 +1373,37 @@ bool CampaignService::run_shards_remote(
         partial += line;
         partial += '\n';
       }
-      *merged += cache_.merge_buffer(partial);
+      run.merged += cache_.merge_buffer(partial);
     };
     if (!settled[i]) {
       // Never dispatched, or still requeued when the drivers ran out (or
       // the campaign was cancelled): the caller decides what happens next.
       merge_lines(partial_lines[i]);
-      leftover->push_back(tasks[i]);
+      unrun.push_back(tasks[i]);
       continue;
     }
     const RemoteShardOutcome& outcome = outcomes[i];
     if (outcome.ok) {
-      ++*remote_executed;
-      *merged += cache_.merge_buffer(outcome.store);
+      if (completed != nullptr) {
+        ++*completed;
+      }
+      run.merged += cache_.merge_buffer(outcome.store);
       continue;
     }
     if (outcome.connection_lost) {
-      // Every attempt's endpoint died and the retry budget is spent. Under
-      // remote_only that is a structured failure — never a hang, never a
-      // local run; otherwise the local pool gets the shard (the `seen` set
-      // keeps its replayed records off the client stream).
+      // Every attempt's endpoint died and the retry budget is spent. With
+      // `lost_fails` that is a structured failure — never a hang; otherwise
+      // the caller reruns the shard elsewhere (the `seen` set keeps its
+      // replayed records off the client stream).
       merge_lines(partial_lines[i]);
-      if (config_.remote_only) {
-        if (failure->empty()) {
-          *failure = "shard " + std::to_string(outcome.shard_index) +
+      if (lost_fails) {
+        if (run.failure.empty()) {
+          run.failure = "shard " + std::to_string(outcome.shard_index) +
                      " failed (retry budget exhausted): " +
                      one_line(outcome.error);
         }
       } else {
-        leftover->push_back(tasks[i]);
+        unrun.push_back(tasks[i]);
       }
       continue;
     }
@@ -1352,12 +1413,12 @@ bool CampaignService::run_shards_remote(
     // arrived and report the real error.
     merge_lines(partial_lines[i]);
     merge_lines(outcome.lines);
-    if (failure->empty()) {
-      *failure = "shard " + std::to_string(outcome.shard_index) +
-                 " failed: " + one_line(outcome.error);
+    if (run.failure.empty()) {
+      run.failure = "shard " + std::to_string(outcome.shard_index) +
+                    " failed: " + one_line(outcome.error);
     }
   }
-  return true;
+  return unrun;
 }
 
 // ----------------------------------------------------------- read path ----
@@ -1368,23 +1429,6 @@ namespace {
 /// command can make the daemon read back from disk.
 constexpr std::size_t kDefaultQueryLimit = 64;
 constexpr std::size_t kMaxQueryLimit = 4096;
-
-/// Strict decimal parse (the query grammar's size/limit values); rejects
-/// empty strings, signs and any non-digit.
-bool parse_decimal_u64(const std::string& text, std::uint64_t* value) {
-  if (text.empty() || text.size() > 20) {
-    return false;
-  }
-  std::uint64_t parsed = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    parsed = parsed * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  *value = parsed;
-  return true;
-}
 
 /// Reverse of orchestrator::to_string(JobKind) — the `kind` filter values
 /// are the documented job-kind names ("gemm-measure", "sme-gemm", ...).
@@ -1487,25 +1531,25 @@ void CampaignService::reply_query(const std::vector<std::string>& words,
         return;
       }
     } else if (keyword == "size") {
-      if (!parse_decimal_u64(value, &number)) {
+      if (!parse_u64_token(value, number)) {
         reply_error(out, "bad-query", "bad size: " + value, line);
         return;
       }
       filter.n_min = filter.n_max = number;
     } else if (keyword == "size-min") {
-      if (!parse_decimal_u64(value, &number)) {
+      if (!parse_u64_token(value, number)) {
         reply_error(out, "bad-query", "bad size-min: " + value, line);
         return;
       }
       filter.n_min = number;
     } else if (keyword == "size-max") {
-      if (!parse_decimal_u64(value, &number)) {
+      if (!parse_u64_token(value, number)) {
         reply_error(out, "bad-query", "bad size-max: " + value, line);
         return;
       }
       filter.n_max = number;
     } else if (keyword == "limit") {
-      if (!parse_decimal_u64(value, &number) || number < 1 ||
+      if (!parse_u64_token(value, number) || number < 1 ||
           number > kMaxQueryLimit) {
         reply_error(out, "bad-query",
                     "limit must be in [1, " +

@@ -9,7 +9,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -20,7 +19,6 @@
 #include "service/campaign_queue.hpp"
 #include "service/outbox.hpp"
 #include "service/protocol.hpp"
-#include "service/worker_pool.hpp"
 #include "service/worker_registry.hpp"
 
 namespace ao::service {
@@ -40,18 +38,18 @@ namespace ao::service {
 /// within a priority — and per-client quotas bound queue depth and
 /// concurrency (quota violations get structured `error` replies).
 ///
-/// Requests with `shards > 1` are partitioned by the ShardPlanner and run
-/// over one of two transports:
-///  - **remote workers** (preferred when any are connected, mandatory with
+/// Requests with `shards > 1` are partitioned by the ShardPlanner and every
+/// shard runs over one transport: a `task` frame to a worker, `records`
+/// frames streamed back, closed by a `store` frame carrying the worker's
+/// full result store — no shared filesystem anywhere
+/// (docs/service.md#wire-format-frames). The workers are either
+///  - **remote** (preferred when any are connected, mandatory with
 ///    `remote_only`): `ao_worker --connect` processes — on this machine or
 ///    any other — that announced themselves with a `worker` hello and sit
-///    parked in the WorkerRegistry. Each shard is shipped as a `task` frame
-///    and the worker streams `records` frames back, closed by a `store`
-///    frame carrying its full result store; no shared filesystem anywhere
-///    (docs/service.md#wire-format-frames).
-///  - **local workers**: WorkerPool-spawned `ao_worker` processes (or
-///    in-process threads) exchanging results through per-shard disk stores
-///    the service tails.
+///    parked in the daemon's WorkerRegistry, or
+///  - **local**: a campaign-scoped fleet of `ao_worker --stdio-frames`
+///    children (in-process threads without a worker binary), each on one
+///    end of a socketpair and parked in a registry of its own.
 /// Either way the client observes records live, shards merge back into the
 /// warm cache conflict-free by CacheKey, and the merged result is
 /// bit-identical to a single-process run.
@@ -67,14 +65,17 @@ class CampaignService {
     /// When set: the warm cache loads this store at startup and
     /// write-throughs (and auto-compacts) every new point to it.
     std::string store_path;
-    /// Directory for per-campaign shard stores and worker request files.
+    /// Ignored. Shards exchange results only over frames, so nothing is
+    /// written here; the field (and `ao_campaignd --shard-dir`) stays so
+    /// existing configurations keep working.
     std::string shard_dir = ".";
-    /// Path of the `ao_worker` binary; "" runs shards in-process.
+    /// Path of the `ao_worker` binary local shards run as `--stdio-frames`
+    /// children; "" runs them on in-process threads.
     std::string worker_binary;
     /// Never run shards locally: every sharded campaign waits up to
     /// `remote_wait_ms` for a connected remote worker and fails otherwise.
     /// Off, shards prefer remote workers when any are idle and fall back
-    /// to the local WorkerPool when none are.
+    /// to local workers when none are.
     bool remote_only = false;
     /// How long a remote-only sharded campaign waits for its first remote
     /// worker before failing.
@@ -133,6 +134,11 @@ class CampaignService {
     std::size_t follows = 0;         ///< `follow` streams served
     std::size_t stale_cursors = 0;   ///< reads rejected with `stale-cursor`
   };
+
+  /// Longest request line serve() accepts, newline excluded. A longer line
+  /// is answered with `error bad-request` and dropped without buffering
+  /// past the cap; the session continues.
+  static constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
 
   explicit CampaignService(Config config);
 
@@ -196,6 +202,15 @@ class CampaignService {
   struct CampaignJournal;  // defined below, next to its helpers
 
   void run_campaign(const CampaignRequest& request, std::ostream& session_out);
+  /// One planned shard: its plan index and the campaign group indices it
+  /// runs.
+  struct ShardTask {
+    std::size_t shard_index = 0;
+    std::vector<std::size_t> groups;
+  };
+  /// A sharded campaign's stream and settlement state (service.cpp).
+  struct ShardDispatch;
+
   /// Both execution paths receive the campaign's compiled expansion (a
   /// PlanCache checkout made in run_campaign) instead of re-expanding the
   /// request; run_sharded also gets the plan key so it can consult the
@@ -214,28 +229,20 @@ class CampaignService {
       std::size_t shard_count, std::size_t expected_records,
       std::uint64_t root_span, const orchestrator::StopFn& should_stop,
       CampaignJournal* journal, std::ostream& out);
-  /// Runs the planned shard tasks on checked-out remote workers (one driver
-  /// thread per lease draining a shared work queue). Returns false when no
-  /// worker could be leased and local fallback is allowed; true when remote
-  /// execution happened (or remote-only failed), with `streamed`, `merged`,
-  /// `remote_executed` (shards a worker completed), `retries_used` and
-  /// `failure` updated. A shard whose endpoint dies mid-conversation is
-  /// re-dispatched to a *different* worker while the request's per-campaign
-  /// retry budget lasts; `seen` dedupes the entry lines a retry replays so
-  /// the client never reads a record twice. Shards that exhausted the
-  /// budget (or never ran) land in `leftover`: the caller reruns them
-  /// locally — or, under remote_only, reports them as a structured failure.
-  bool run_shards_remote(const CampaignRequest& request,
-                         const std::vector<WorkerPool::ShardTask>& tasks,
-                         std::size_t expected_records, std::uint64_t root_span,
-                         const orchestrator::StopFn& should_stop,
-                         CampaignJournal* journal,
-                         std::unordered_set<std::string>* seen,
-                         std::size_t* streamed, std::size_t* merged,
-                         std::size_t* remote_executed,
-                         std::size_t* retries_used,
-                         std::vector<WorkerPool::ShardTask>* leftover,
-                         std::string* failure, std::ostream& out);
+  /// Runs `tasks` on the workers behind `leases` (one driver thread per
+  /// lease draining a shared work queue), streaming records into `run` and
+  /// merging every shard's store into the warm cache. A shard whose
+  /// endpoint dies mid-conversation is re-dispatched to a *different*
+  /// worker of `registry` while the campaign's retry budget lasts;
+  /// `run.seen` dedupes the entry lines a retry replays so the client never
+  /// reads a record twice. Returns the shards no worker settled — never run, or
+  /// lost with the budget spent unless `lost_fails` makes that a structured
+  /// failure. `completed` (may be null) counts the shards that finished.
+  std::vector<ShardTask> drive_shards(
+      WorkerRegistry& registry,
+      std::vector<std::unique_ptr<WorkerRegistry::Lease>> leases,
+      const std::vector<ShardTask>& tasks, bool lost_fails,
+      ShardDispatch& run, std::size_t* completed);
 
   /// Settles one finished campaign's telemetry: drains the profiler, pulls
   /// the root's subtree out (spans of still-running concurrent campaigns go

@@ -15,7 +15,7 @@
 //
 //   ao_campaignd --socket <path> [--tcp <port>] [--store <file>]
 //                [--capacity <n>] [--worker-binary <path>]
-//                [--shard-dir <dir>] [--stdio] [--remote-only]
+//                [--stdio] [--remote-only]
 //                [--max-running <n>] [--max-running-per-client <n>]
 //                [--max-queued-per-client <n>] [--profile-dir <dir>]
 //                [--heartbeat-ms <n>] [--outbox-capacity <n>]
@@ -24,8 +24,10 @@
 // on other machines reach the daemon. --remote-only refuses to run shards
 // locally: sharded campaigns wait for connected remote workers instead
 // (the multi-machine deployment mode; see docs/operations.md).
-// --worker-binary defaults to the ao_worker next to this executable
-// (shards run in-process when it does not exist); --stdio serves one
+// Local shards run as `ao_worker --stdio-frames` children of
+// --worker-binary, which defaults to the ao_worker next to this executable
+// (in-process worker threads when it does not exist). --shard-dir is
+// accepted and ignored: no shard writes files any more. --stdio serves one
 // session over stdin/stdout instead of a socket (debugging, pipes). The
 // quota flags take 0 for "unlimited"; defaults are in CampaignQueue::Limits.
 // --profile-dir enables the timeline profiler's perf artifacts: one
@@ -44,6 +46,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -54,6 +57,7 @@
 #include <thread>
 #include <vector>
 
+#include "service/protocol.hpp"
 #include "service/service.hpp"
 #include "service/socket.hpp"
 
@@ -134,22 +138,15 @@ int main(int argc, char** argv) {
     };
     const auto needs_count = [&](const char* flag) -> std::size_t {
       const std::string value = needs_value(flag);
-      // All-digits only: std::stoul alone would wrap "-1" to huge and
-      // silently truncate "4x" — a typo'd quota flag must not yield an
-      // unlimited service without a diagnostic.
-      if (value.empty() ||
-          value.find_first_not_of("0123456789") != std::string::npos) {
+      // A typo'd quota flag must not yield an unlimited service without a
+      // diagnostic: digits only, and no silent wraparound.
+      std::uint64_t count = 0;
+      if (!ao::service::parse_u64_token(value, count) || count > SIZE_MAX) {
         std::cerr << "ao_campaignd: " << flag
                   << " needs a non-negative integer, got '" << value << "'\n";
         std::exit(2);
       }
-      try {
-        return static_cast<std::size_t>(std::stoul(value));
-      } catch (const std::exception&) {
-        std::cerr << "ao_campaignd: " << flag << " value out of range: '"
-                  << value << "'\n";
-        std::exit(2);
-      }
+      return static_cast<std::size_t>(count);
     };
     if (std::strcmp(argv[i], "--socket") == 0) {
       socket_path = needs_value("--socket");
@@ -188,6 +185,10 @@ int main(int argc, char** argv) {
       config.profile_dir = needs_value("--profile-dir");
     } else if (std::strcmp(argv[i], "--heartbeat-ms") == 0) {
       heartbeat_ms = needs_count("--heartbeat-ms");
+      if (heartbeat_ms > UINT64_MAX / 1'000'000) {
+        std::cerr << "ao_campaignd: --heartbeat-ms out of range\n";
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--outbox-capacity") == 0) {
       const std::size_t capacity = needs_count("--outbox-capacity");
       if (capacity == 0) {
@@ -206,7 +207,7 @@ int main(int argc, char** argv) {
   if (!stdio && socket_path.empty() && tcp_port == 0) {
     std::cerr << "usage: ao_campaignd --socket <path> [--tcp <port>] "
                  "[--store <file>] [--capacity <n>] "
-                 "[--worker-binary <path>] [--shard-dir <dir>] [--stdio] "
+                 "[--worker-binary <path>] [--stdio] "
                  "[--remote-only] [--max-running <n>] "
                  "[--max-running-per-client <n>] "
                  "[--max-queued-per-client <n>] [--profile-dir <dir>] "

@@ -16,29 +16,24 @@
 
 namespace ao::service {
 
+namespace {
+
+/// Parses a "1,2,3" index list (no empty list, no empty element).
 bool parse_index_csv(const std::string& csv, std::vector<std::size_t>& out) {
   out.clear();
-  std::size_t value = 0;
-  bool in_number = false;
-  for (const char c : csv) {
-    if (c >= '0' && c <= '9') {
-      value = value * 10 + static_cast<std::size_t>(c - '0');
-      in_number = true;
-    } else if (c == ',' && in_number) {
-      out.push_back(value);
-      value = 0;
-      in_number = false;
-    } else {
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = csv.find(',', start);
+    std::uint64_t value = 0;
+    if (!parse_u64_token(csv.substr(start, comma - start), value)) {
       return false;
     }
+    out.push_back(static_cast<std::size_t>(value));
+    if (comma == std::string::npos) {
+      return true;
+    }
+    start = comma + 1;
   }
-  if (in_number) {
-    out.push_back(value);
-  }
-  return !out.empty();
 }
-
-namespace {
 
 std::string join_index_csv(const std::vector<std::size_t>& values) {
   std::string out;

@@ -17,8 +17,8 @@ namespace ao::service {
 // worker side (`run_worker_session`) and the daemon side
 // (`run_remote_shard`) are both transport-agnostic — any istream/ostream
 // pair — so the same code runs over a unix socket, a TCP connection, the
-// stdio of an ssh bridge (`ao_worker --stdio-frames`) and the socketpairs
-// the tests drive.
+// stdio of an ssh bridge (`ao_worker --stdio-frames`), and the socketpairs
+// behind the daemon's local shards and the tests.
 
 /// One shard assignment as the `task` frame payload carries it.
 struct RemoteTask {
@@ -26,10 +26,6 @@ struct RemoteTask {
   std::vector<std::size_t> groups;  ///< campaign group indices
   CampaignRequest request;
 };
-
-/// Parses a "1,2,3" index list (digits and commas only; no empty list).
-/// Shared by the task payload codec and `ao_worker`'s `--groups` flag.
-bool parse_index_csv(const std::string& csv, std::vector<std::size_t>& out);
 
 /// Serializes a shard assignment into the `task` frame payload:
 /// "shard <i>" and "groups <csv>" lines followed by the request block

@@ -1,69 +1,44 @@
-// ao_worker: one shard (or a stream of shards) of a service campaign in its
-// own process. Three modes:
-//
-//   ao_worker --request <file> --groups <i,j,...> --store <file>
-//     Local batch mode, spawned by the service's WorkerPool on the same
-//     machine: expand exactly those job groups, run them, write-through
-//     every record into the named store (which the service tails and
-//     merges). stdout stays silent; errors go to stderr and the exit code.
+// ao_worker: runs shards of service campaigns in its own process, speaking
+// the worker frame protocol (docs/service.md#wire-format-frames) — a
+// `worker` hello, then `task` frames in, batched `records` frames, a
+// `spans` frame and a `store` frame out per shard, until the daemon says
+// bye. Two transports:
 //
 //   ao_worker --connect <endpoint> [--name <id>]
 //     Remote mode: connect to a campaign daemon — a unix socket path, or
 //     host:port for a daemon listening with --tcp on another machine —
-//     announce with a `worker` hello, then serve `task` frames until the
-//     daemon says bye: records stream back as frames and each shard closes
-//     with its worker-side span timeline (`spans` frame — the daemon grafts
-//     it into the campaign profile) and its full result store, all over the
-//     socket. No shared filesystem anywhere. Heartbeat pings are answered
-//     with this process's monotonic clock reading, which the daemon uses to
-//     align shipped spans onto its own timeline.
+//     and serve its shards over the socket. No shared filesystem anywhere.
+//     Heartbeat pings are answered with this process's monotonic clock
+//     reading, which the daemon uses to align shipped spans onto its own
+//     timeline.
 //
 //   ao_worker --stdio-frames [--name <id>]
-//     The same frame conversation over stdin/stdout — for bridged
-//     transports (e.g. `ssh host ao_worker --stdio-frames` with the far
-//     end socat-ed into the daemon socket) and for driving the worker
-//     loop deterministically in tests.
+//     The same conversation over stdin/stdout. The daemon runs its local
+//     shards this way (`--stdio-frames --name local`, one child per shard,
+//     the far end of a socketpair on stdin/stdout); it also serves bridged
+//     transports (e.g. `ssh host ao_worker --stdio-frames` with the far end
+//     socat-ed into the daemon socket).
 
 #include <unistd.h>
 
 #include <csignal>
+#include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "service/protocol.hpp"
 #include "service/socket.hpp"
 #include "service/worker_link.hpp"
-#include "service/worker_pool.hpp"
 
 namespace {
 
 int usage() {
-  std::cerr << "usage: ao_worker --request <file> --groups <i,j,...> "
-               "--store <file>\n"
-               "       ao_worker --connect <socket-path | host:port> "
+  std::cerr << "usage: ao_worker --connect <socket-path | host:port> "
                "[--name <id>] [--batch <n>] [--batch-flush-ms <ms>]\n"
                "       ao_worker --stdio-frames [--name <id>] [--batch <n>] "
                "[--batch-flush-ms <ms>]\n";
   return 2;
-}
-
-bool parse_count(const char* text, std::size_t& out) {
-  std::size_t value = 0;
-  const char* p = text;
-  if (*p == '\0') {
-    return false;
-  }
-  for (; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      return false;
-    }
-    value = value * 10 + static_cast<std::size_t>(*p - '0');
-  }
-  out = value;
-  return true;
 }
 
 }  // namespace
@@ -72,9 +47,6 @@ int main(int argc, char** argv) {
   // A daemon that dies mid-write must surface as a failed write (clean
   // "daemon went away" exit), not a SIGPIPE kill.
   std::signal(SIGPIPE, SIG_IGN);
-  std::string request_path;
-  std::string groups_csv;
-  std::string store_path;
   std::string connect_endpoint;
   std::string name;
   bool stdio_frames = false;
@@ -87,31 +59,29 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (std::strcmp(argv[i], "--request") == 0) {
-      request_path = needs_value("--request");
-    } else if (std::strcmp(argv[i], "--groups") == 0) {
-      groups_csv = needs_value("--groups");
-    } else if (std::strcmp(argv[i], "--store") == 0) {
-      store_path = needs_value("--store");
-    } else if (std::strcmp(argv[i], "--connect") == 0) {
+    std::uint64_t count = 0;
+    if (std::strcmp(argv[i], "--connect") == 0) {
       connect_endpoint = needs_value("--connect");
     } else if (std::strcmp(argv[i], "--name") == 0) {
       name = needs_value("--name");
     } else if (std::strcmp(argv[i], "--stdio-frames") == 0) {
       stdio_frames = true;
     } else if (std::strcmp(argv[i], "--batch") == 0) {
-      if (!parse_count(needs_value("--batch"), session_options.record_batch) ||
-          session_options.record_batch == 0) {
+      if (!ao::service::parse_u64_token(needs_value("--batch"), count) ||
+          count == 0) {
         std::cerr << "ao_worker: --batch needs a positive integer\n";
         return 2;
       }
+      session_options.record_batch = count;
     } else if (std::strcmp(argv[i], "--batch-flush-ms") == 0) {
-      std::size_t ms = 0;
-      if (!parse_count(needs_value("--batch-flush-ms"), ms)) {
-        std::cerr << "ao_worker: --batch-flush-ms needs an integer\n";
+      if (!ao::service::parse_u64_token(needs_value("--batch-flush-ms"),
+                                        count) ||
+          count > UINT64_MAX / 1'000'000) {
+        std::cerr << "ao_worker: --batch-flush-ms needs an integer in [0, "
+                  << UINT64_MAX / 1'000'000 << "]\n";
         return 2;
       }
-      session_options.batch_flush_ns = ms * 1'000'000ull;
+      session_options.batch_flush_ns = count * 1'000'000;
     } else {
       std::cerr << "ao_worker: unknown option " << argv[i] << "\n";
       return 2;
@@ -126,67 +96,20 @@ int main(int argc, char** argv) {
                  "chars)\n";
     return 2;
   }
-
-  const int modes = (connect_endpoint.empty() ? 0 : 1) +
-                    (stdio_frames ? 1 : 0) +
-                    (request_path.empty() && groups_csv.empty() &&
-                             store_path.empty()
-                         ? 0
-                         : 1);
-  if (modes != 1) {
-    return usage();
+  if (connect_endpoint.empty() == !stdio_frames) {
+    return usage();  // exactly one transport
   }
 
   if (stdio_frames) {
     return ao::service::run_worker_session(std::cin, std::cout, name,
                                            session_options);
   }
-
-  if (!connect_endpoint.empty()) {
-    const int fd = ao::service::connect_endpoint(connect_endpoint);
-    if (fd < 0) {
-      std::cerr << "ao_worker: cannot connect to " << connect_endpoint
-                << "\n";
-      return 1;
-    }
-    ao::service::SocketStream stream(fd);
-    return ao::service::run_worker_session(stream, stream, name,
-                                           session_options);
-  }
-
-  if (request_path.empty() || groups_csv.empty() || store_path.empty()) {
-    return usage();
-  }
-
-  std::ifstream in(request_path);
-  if (!in) {
-    std::cerr << "ao_worker: cannot read request file " << request_path
-              << "\n";
-    return 2;
-  }
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    lines.push_back(line);
-  }
-  std::string error;
-  const auto request = ao::service::parse_request_lines(lines, &error);
-  if (!request.has_value()) {
-    std::cerr << "ao_worker: malformed request: " << error << "\n";
-    return 2;
-  }
-
-  std::vector<std::size_t> groups;
-  if (!ao::service::parse_index_csv(groups_csv, groups)) {
-    std::cerr << "ao_worker: malformed group list: " << groups_csv << "\n";
-    return 2;
-  }
-
-  const std::string shard_error =
-      ao::service::run_shard(*request, groups, store_path);
-  if (!shard_error.empty()) {
-    std::cerr << "ao_worker: shard failed: " << shard_error << "\n";
+  const int fd = ao::service::connect_endpoint(connect_endpoint);
+  if (fd < 0) {
+    std::cerr << "ao_worker: cannot connect to " << connect_endpoint << "\n";
     return 1;
   }
-  return 0;
+  ao::service::SocketStream stream(fd);
+  return ao::service::run_worker_session(stream, stream, name,
+                                         session_options);
 }

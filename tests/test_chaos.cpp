@@ -160,9 +160,9 @@ struct ShardResult {
 /// retried shard reproduces the exact same entry lines, which is what the
 /// daemon's replay dedup is up against.
 ShardResult run_task_locally(const RemoteTask& task) {
-  orchestrator::Campaign campaign = task.request.to_campaign();
   orchestrator::JobQueue queue;
-  campaign.expand_subset(queue, task.groups);
+  orchestrator::push_group_subset(queue, task.request.to_campaign().groups(),
+                                  task.groups);
   orchestrator::ResultCache cache(std::max<std::size_t>(4096, queue.total()));
   orchestrator::CampaignScheduler::Options options;
   options.concurrency = 1;

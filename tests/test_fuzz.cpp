@@ -462,6 +462,12 @@ TEST(QueryFuzz, MutatedRequestLinesFailStructurallyNeverCrash) {
       "query cursor " + query_cursor,
       "follow fuzzq",
       "follow fuzzq from " + follow_cursor,
+      // Past 2^64 - 1: must be refused, never wrapped to a small value.
+      "query limit 18446744073709551617",
+      "query size 18446744073709551616 limit 2",
+      // Past the request-line cap: refused unread, the session lives on.
+      "query limit " +
+          std::string(service::CampaignService::kMaxRequestLineBytes, '1'),
   };
   const std::string splice_tokens[] = {
       "kind",   "chip",  "impl",       "size",  "limit",  "cursor",
@@ -499,6 +505,45 @@ TEST(QueryFuzz, MutatedRequestLinesFailStructurallyNeverCrash) {
     }
   }
   std::filesystem::remove(store);
+}
+
+TEST(QueryFuzz, TwentyDigitValuesAreRefusedNotWrapped) {
+  const std::string store = fuzz_store_path();
+  service::CampaignService::Config config;
+  config.store_path = store;
+  service::CampaignService service(config);
+  populate_campaign(service);
+  // 2^64 + 1 once wrapped to `limit 1` and 2^64 to `size 0`.
+  for (const std::string line :
+       {"query limit 18446744073709551617", "query size 18446744073709551616",
+        "query size-min 99999999999999999999"}) {
+    const auto replies = fuzz_serve(service, line + "\nping\n");
+    ASSERT_EQ(replies.size(), 2u) << line;
+    EXPECT_EQ(replies[0].rfind("error bad-query ", 0), 0u) << replies[0];
+    EXPECT_EQ(replies[1], "pong");
+  }
+  // 2^64 - 1 itself is a value, one that matches nothing.
+  const auto largest =
+      fuzz_serve(service, "query size 18446744073709551615\n");
+  ASSERT_EQ(largest.size(), 1u);
+  EXPECT_EQ(largest[0].rfind("query-page count 0 matched 0 ", 0), 0u)
+      << largest[0];
+  std::filesystem::remove(store);
+}
+
+TEST(QueryFuzz, OversizeRequestLineIsRefusedAndTheSessionLives) {
+  service::CampaignService service({});
+  const std::size_t cap = service::CampaignService::kMaxRequestLineBytes;
+  // One byte past the cap is refused without echoing the line; a line of
+  // exactly the cap ("ping" padded with blanks) is still served.
+  const std::string over = "ping" + std::string(cap - 3, ' ');
+  const std::string at = "ping" + std::string(cap - 4, ' ');
+  const auto replies = fuzz_serve(service, over + "\n" + at + "\nping\n");
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(replies[0], "error bad-request request line longer than " +
+                            std::to_string(cap) + " bytes");
+  EXPECT_EQ(replies[1], "pong");
+  EXPECT_EQ(replies[2], "pong");
 }
 
 TEST(QueryFuzz, MutatedCursorsAreRejectedReplaysAreIdentical) {

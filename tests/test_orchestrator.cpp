@@ -1278,7 +1278,7 @@ TEST(PlanCache, CompiledExpansionRebuildsTheExactJobGraph) {
   // The subset form addresses the same group indices a full expansion
   // would — the shard-task path reuses the compilation too.
   JobQueue subset_direct;
-  campaign.expand_subset(subset_direct, {0, 2});
+  push_group_subset(subset_direct, campaign.groups(), {0, 2});
   JobQueue subset_rebuilt;
   push_group_subset(subset_rebuilt, compiled.groups, {0, 2});
   EXPECT_EQ(subset_rebuilt.jobs().size(), subset_direct.jobs().size());

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -32,7 +34,6 @@
 #include "service/shard_planner.hpp"
 #include "service/socket.hpp"
 #include "service/worker_link.hpp"
-#include "service/worker_pool.hpp"
 
 namespace ao::service {
 namespace {
@@ -600,17 +601,100 @@ TEST(CampaignService, RemoteOnlyWithoutWorkersFailsTheCampaignNotTheSession) {
   EXPECT_EQ(count_prefixed(lines, "record "), 0u);
 }
 
-TEST(WorkerPool, ShardFailureIsReportedNotFatal) {
-  const auto dir = temp_dir("failure");
-  CampaignRequest request;  // no chips: run_shard throws inside the worker
-  request.sme_sizes = {32};
-  WorkerPool pool;  // in-process mode
-  pool.start(request, "", {{0, {0}, (dir / "s0.aocache").string()}});
-  const auto outcomes = pool.wait();
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_NE(outcomes[0].exit_code, 0);
-  EXPECT_FALSE(outcomes[0].error.empty());
+/// True when this process has no child left, running or zombie: every
+/// local worker the service started was reaped before its campaign ended.
+bool no_children_left() {
+  errno = 0;
+  return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+}
+
+std::vector<std::string> sorted_records(const std::vector<std::string>& lines) {
+  std::vector<std::string> records;
+  for (const auto& line : lines) {
+    if (starts_with(line, "record ")) {
+      records.push_back(line);
+    }
+  }
+  std::sort(records.begin(), records.end());
+  return records;
+}
+
+// Local shards exec'd as `ao_worker --stdio-frames` children: the streamed
+// records and the merged cache are bit-identical to the in-process run, no
+// shard file touches the filesystem, and every child is reaped before the
+// campaign returns.
+TEST(CampaignService, ExecBackedLocalShardsAreBitIdenticalAndReaped) {
+  const auto dir = temp_dir("exec_local");
+  CampaignService::Config config;
+  config.shard_dir = dir.string();
+  config.worker_binary = AO_WORKER_BINARY;
+  CampaignService sharded(std::move(config));
+  const auto lines = serve_lines(sharded, nine_kind_block(2, 2));
+  ASSERT_TRUE(starts_with(lines.back(), "done campaign ")) << lines.back();
+  EXPECT_TRUE(lines.back().ends_with(" shards 2")) << lines.back();
+  EXPECT_NE(std::find(lines.begin(), lines.end(),
+                      "shard 0 start worker local"),
+            lines.end());
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  EXPECT_TRUE(no_children_left());
+
+  CampaignService single({});
+  const auto single_lines = serve_lines(single, nine_kind_block(2, 1));
+  ASSERT_TRUE(starts_with(single_lines.back(), "done campaign "));
+  EXPECT_EQ(sorted_records(lines), sorted_records(single_lines));
+  ASSERT_EQ(entries_by_key(sharded.cache()).size(), 20u);
+  EXPECT_EQ(entries_by_key(sharded.cache()), entries_by_key(single.cache()));
   std::filesystem::remove_all(dir);
+}
+
+// A local shard that throws (an SME size of 0 fails inside its job) is a
+// shard-level error with a structured campaign failure, on thread-backed
+// and exec-backed workers alike; the session survives.
+TEST(CampaignService, FailingLocalShardIsReportedNotFatal) {
+  for (const std::string binary : {"", AO_WORKER_BINARY}) {
+    CampaignService::Config config;
+    config.worker_binary = binary;
+    CampaignService service(std::move(config));
+    const auto lines = serve_lines(
+        service, "begin failing\nchips m1\nsme 32,0\nshards 2\nrun\nping\n");
+    ASSERT_FALSE(lines.empty());
+    EXPECT_EQ(lines.back(), "pong") << binary;
+    std::string shard;
+    for (const auto& line : lines) {
+      if (starts_with(line, "shard ") &&
+          line.find(" error ") != std::string::npos) {
+        shard = line.substr(6, line.find(' ', 6) - 6);
+      }
+    }
+    ASSERT_FALSE(shard.empty()) << binary;
+    EXPECT_EQ(count_prefixed(lines, "error exec-failed campaign 1 shard " +
+                                        shard + " failed: "),
+              1u)
+        << binary;
+    EXPECT_EQ(count_prefixed(lines, "done campaign "), 0u);
+    EXPECT_TRUE(no_children_left());
+  }
+}
+
+// A worker binary whose child dies before its hello fails the campaign with
+// a structured exec-failed; it never hangs and never leaves a zombie.
+TEST(CampaignService, LocalWorkerDyingBeforeItsHelloFailsTheCampaign) {
+  CampaignService::Config config;
+  config.worker_binary = "/bin/false";
+  CampaignService service(std::move(config));
+  const auto lines = serve_lines(service, nine_kind_block(1, 2) + "ping\n");
+  ASSERT_FALSE(lines.empty());
+  EXPECT_EQ(lines.back(), "pong");
+  bool failed = false;
+  for (const auto& line : lines) {
+    failed = failed ||
+             (starts_with(line, "error exec-failed campaign ") &&
+              line.find("never ran (local worker exited before its hello)") !=
+                  std::string::npos);
+  }
+  EXPECT_TRUE(failed);
+  EXPECT_EQ(count_prefixed(lines, "record "), 0u);
+  EXPECT_TRUE(no_children_left());
 }
 
 // ----------------------------------------------------------- campaign queue --

@@ -20,7 +20,8 @@ Three modes:
             omit it). They fold into the same top-level ``phases`` table —
             the gate sees one merged timeline. ``--by-origin`` additionally
             writes an ``origins`` object with the same per-phase stats
-            split by measuring process (``local`` = the daemon itself),
+            split by measuring process (``local`` = the daemon itself and
+            its local shard workers, which are all named ``local``),
             which ``compare`` ignores: the breakdown is for humans reading
             the report, not for gating.
 
@@ -82,7 +83,8 @@ def nearest_rank(sorted_values, p):
 def fold_spans(spans, durations, origin_durations):
     """Accumulate span durations by phase, and by (origin, phase). A span
     without an ``origin`` key was measured by the daemon itself — it groups
-    under ``local``; worker-origin spans group under the worker's name."""
+    under ``local``, as do the spans of the daemon's local shard workers;
+    worker-origin spans group under the worker's name."""
     for span in spans:
         origin = span.get("origin") or "local"
         durations.setdefault(span["phase"], []).append(span["duration_ns"])
