@@ -3,6 +3,7 @@
 #include "metal/compute_command_encoder.hpp"
 #include "mps/mps_gemm.hpp"
 #include "shaders/gemm_shaders.hpp"
+#include "util/aligned_buffer.hpp"
 #include "util/error.hpp"
 
 namespace ao::gemm {
@@ -13,7 +14,7 @@ void validate(std::size_t n, std::size_t memory_length, const float* left,
   AO_REQUIRE(n > 0, "matrix size must be positive");
   AO_REQUIRE(left != nullptr && right != nullptr && out != nullptr,
              "matrix pointers must not be null");
-  AO_REQUIRE(memory_length >= n * n * sizeof(float),
+  AO_REQUIRE(memory_length >= util::matrix_bytes(n, sizeof(float)),
              "memory_length smaller than the matrix");
 }
 

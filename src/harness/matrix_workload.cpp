@@ -33,9 +33,9 @@ bool paper_skips(soc::GemmImpl impl, std::size_t n) {
 
 MatrixSet::MatrixSet(std::size_t n, bool fill, std::uint64_t seed)
     : n_(n),
-      left_(n * n * sizeof(float)),
-      right_(n * n * sizeof(float)),
-      out_(n * n * sizeof(float)) {
+      left_(util::matrix_bytes(n, sizeof(float))),
+      right_(util::matrix_bytes(n, sizeof(float))),
+      out_(util::matrix_bytes(n, sizeof(float))) {
   if (fill) {
     fill_left_operand(left(), n, seed);
     fill_right_operand(right(), n, seed);

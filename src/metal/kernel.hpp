@@ -37,14 +37,14 @@ struct WorkEstimate {
   static WorkEstimate stream(soc::StreamKernel kernel, std::uint64_t bytes);
 };
 
-/// Per-thread kernel body (no threadgroup memory / barriers): STREAM kernels
-/// and the naive GEMM shader.
+/// Per-thread kernel body (no threadgroup memory / barriers): the STREAM
+/// kernels.
 using ThreadKernelFn =
     std::function<void(const ArgumentTable&, const ThreadContext&)>;
 
-/// Per-threadgroup kernel body (threadgroup memory + barrier phases): the
-/// Cutlass-style tiled GEMM shader. See GroupContext for the execution
-/// contract.
+/// Per-threadgroup kernel body: the GEMM shaders, which compute a whole
+/// threadgroup's tile of C at once (the tiled one with threadgroup memory
+/// and barrier phases). See GroupContext for the execution contract.
 using GroupKernelFn =
     std::function<void(const ArgumentTable&, const GroupContext&)>;
 

@@ -75,8 +75,8 @@ std::size_t SystemPool::systems_built() const {
 
 MatrixBatch::MatrixBatch(std::size_t n, bool fill, std::uint64_t seed)
     : n_(n),
-      left_(n * n * sizeof(float)),
-      right_(n * n * sizeof(float)) {
+      left_(util::matrix_bytes(n, sizeof(float))),
+      right_(util::matrix_bytes(n, sizeof(float))) {
   if (fill) {
     // The canonical operand convention, so batched operands are
     // bit-identical to the serial suite's.
@@ -116,7 +116,8 @@ std::unique_ptr<MatrixBatch::OutLease> MatrixBatch::acquire_out() {
   if (out == nullptr) {
     // Fresh AlignedBuffers are zeroed; recycled ones are re-zeroed on
     // release, so every lease starts as clear_out() leaves a MatrixSet.
-    out = std::make_unique<util::AlignedBuffer>(n_ * n_ * sizeof(float));
+    out = std::make_unique<util::AlignedBuffer>(
+        util::matrix_bytes(n_, sizeof(float)));
   }
   return std::make_unique<OutLease>(*this, std::move(out));
 }

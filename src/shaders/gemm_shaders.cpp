@@ -2,13 +2,15 @@
 
 #include <algorithm>
 
+#include "metal/compute_pipeline.hpp"
+#include "util/error.hpp"
+
 namespace ao::shaders {
 namespace {
 
 using metal::ArgumentTable;
 using metal::DispatchShape;
 using metal::GroupContext;
-using metal::ThreadContext;
 using metal::WorkEstimate;
 
 metal::WorkEstimator gemm_estimator(soc::GemmImpl impl) {
@@ -22,24 +24,52 @@ metal::WorkEstimator gemm_estimator(soc::GemmImpl impl) {
 metal::Kernel make_gemm_naive() {
   metal::Kernel k;
   k.name = "gemm_naive";
-  k.body = metal::ThreadKernelFn(
-      [](const ArgumentTable& args, const ThreadContext& ctx) {
-        const auto n = args.value<std::uint32_t>(3);
-        const std::uint32_t col = ctx.thread_position_in_grid.x;
-        const std::uint32_t row = ctx.thread_position_in_grid.y;
-        if (row >= n || col >= n) {
-          return;
+  k.body = metal::GroupKernelFn([](const ArgumentTable& args,
+                                   const GroupContext& ctx) {
+    const auto n = args.value<std::uint32_t>(3);
+    const metal::UInt3 tpg = ctx.threads_per_threadgroup;
+    const metal::UInt3 group = ctx.threadgroup_position_in_grid;
+
+    // One stack accumulator per thread of the group's x-y plane, bounded by
+    // the pipeline's thread limit (which the encoder already enforces).
+    // Threads along z would recompute the same elements, so z is ignored.
+    constexpr std::uint32_t kMaxThreads =
+        metal::ComputePipelineState::kMaxTotalThreadsPerThreadgroup;
+    AO_REQUIRE(static_cast<std::uint64_t>(tpg.x) * tpg.y <= kMaxThreads,
+               "gemm_naive threadgroup exceeds maxTotalThreadsPerThreadgroup");
+
+    const std::uint64_t col0 = static_cast<std::uint64_t>(group.x) * tpg.x;
+    const std::uint64_t row0 = static_cast<std::uint64_t>(group.y) * tpg.y;
+    if (row0 >= n || col0 >= n) {
+      return;
+    }
+    // Edge groups clip to the matrix: the MSL threads past n return early.
+    const auto cols =
+        static_cast<std::size_t>(std::min<std::uint64_t>(tpg.x, n - col0));
+    const auto rows =
+        static_cast<std::size_t>(std::min<std::uint64_t>(tpg.y, n - row0));
+    const float* a = args.buffer_data<float>(0) + row0 * n;
+    const float* b = args.buffer_data<float>(1) + col0;
+    float* c = args.buffer_data<float>(2) + row0 * n + col0;
+
+    // k outermost: each row of B's column panel is read once per group.
+    // Every element still starts at 0.0f and adds a[row,k] * b[k,col] in
+    // ascending k, the order of each MSL thread's own loop.
+    float acc[kMaxThreads] = {};
+    for (std::size_t kk = 0; kk < n; ++kk) {
+      const float* b_row = b + kk * n;
+      for (std::size_t r = 0; r < rows; ++r) {
+        const float a_val = a[r * n + kk];
+        float* acc_row = acc + r * cols;
+        for (std::size_t j = 0; j < cols; ++j) {
+          acc_row[j] += a_val * b_row[j];
         }
-        const float* a = args.buffer_data<float>(0);
-        const float* b = args.buffer_data<float>(1);
-        float* c = args.buffer_data<float>(2);
-        float acc = 0.0f;
-        for (std::uint32_t kk = 0; kk < n; ++kk) {
-          acc += a[static_cast<std::size_t>(row) * n + kk] *
-                 b[static_cast<std::size_t>(kk) * n + col];
-        }
-        c[static_cast<std::size_t>(row) * n + col] = acc;
-      });
+      }
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::copy_n(acc + r * cols, cols, c + r * n);
+    }
+  });
   k.estimator = gemm_estimator(soc::GemmImpl::kGpuNaive);
   return k;
 }

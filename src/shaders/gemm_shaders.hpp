@@ -10,8 +10,16 @@ namespace ao::shaders {
 ///
 ///   slot 0: A    slot 1: B    slot 2: C    slot 3: uint32 n
 ///
+/// Both shaders keep one summation order per C element: it starts from 0.0f
+/// and adds a[row,k] * b[k,col] in ascending k. Every Table-2 path sums the
+/// same way, which is what keeps their functional outputs bit-identical.
+///
 /// The naive shader assigns one thread per C element (row = global y,
 /// col = global x) and walks the full k dimension with no data staging.
+/// The host emulation runs it one threadgroup at a time: k is the outer
+/// loop over the group's tile of C (clipped at the matrix edge; z ignored),
+/// so each row of B's column panel is read once per group rather than once
+/// per thread, with no change to any element's summation order.
 metal::Kernel make_gemm_naive();
 
 /// The Cutlass-style tiled shader stages 32 x 32 tiles of A and B through

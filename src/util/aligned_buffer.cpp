@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <string>
 #include <utility>
 
 #include "util/error.hpp"
@@ -49,6 +50,18 @@ std::size_t AlignedBuffer::round_up(std::size_t length, std::size_t alignment) {
 
 bool AlignedBuffer::is_aligned(const void* ptr, std::size_t alignment) {
   return reinterpret_cast<std::uintptr_t>(ptr) % alignment == 0;
+}
+
+std::size_t matrix_bytes(std::size_t n, std::size_t element_bytes) {
+  std::size_t elements = 0;
+  std::size_t bytes = 0;
+  if (__builtin_mul_overflow(n, n, &elements) ||
+      __builtin_mul_overflow(elements, element_bytes, &bytes)) {
+    throw InvalidArgument("matrix byte size overflows: " + std::to_string(n) +
+                          " x " + std::to_string(n) + " x " +
+                          std::to_string(element_bytes) + " bytes");
+  }
+  return bytes;
 }
 
 }  // namespace ao::util

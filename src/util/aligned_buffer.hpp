@@ -63,4 +63,9 @@ class AlignedBuffer {
   std::size_t alignment_ = 0;
 };
 
+/// Bytes of an n x n matrix of `element_bytes`-sized elements. Throws
+/// InvalidArgument when the product does not fit in size_t, so a hostile
+/// size can never wrap to a small (or zero) allocation.
+std::size_t matrix_bytes(std::size_t n, std::size_t element_bytes);
+
 }  // namespace ao::util

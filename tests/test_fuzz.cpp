@@ -546,6 +546,31 @@ TEST(QueryFuzz, OversizeRequestLineIsRefusedAndTheSessionLives) {
   EXPECT_EQ(replies[2], "pong");
 }
 
+TEST(SizeFuzz, MatrixByteOverflowFailsStructurallyAndTheSessionLives) {
+  // n * n * sizeof(float) wraps size_t at each of these: to 0 bytes at
+  // 2^31 and 2^32, and to 16 GiB + 4 bytes at 2^31 + 1. The operand
+  // allocation must refuse all three by name, never allocate the wrap.
+  service::CampaignService service({});
+  for (const std::string size : {"2147483648", "4294967296", "2147483649"}) {
+    const auto replies = fuzz_serve(service,
+                                    "begin huge\n"
+                                    "chips m1\n"
+                                    "impls gpu-naive\n"
+                                    "sizes " + size + "\n"
+                                    "repetitions 1\n"
+                                    "run\n"
+                                    "ping\n");
+    ASSERT_GE(replies.size(), 2u) << size;
+    const std::string& failure = replies[replies.size() - 2];
+    EXPECT_EQ(failure.rfind("error exec-failed campaign ", 0), 0u) << failure;
+    EXPECT_NE(failure.find("matrix byte size overflows: " + size + " x " +
+                           size + " x 4 bytes"),
+              std::string::npos)
+        << failure;
+    EXPECT_EQ(replies.back(), "pong") << size;
+  }
+}
+
 TEST(QueryFuzz, MutatedCursorsAreRejectedReplaysAreIdentical) {
   const std::string store = fuzz_store_path();
   service::CampaignService::Config config;

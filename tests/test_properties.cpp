@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -9,6 +10,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/system.hpp"
+#include "gemm/gemm_interface.hpp"
+#include "harness/matrix_workload.hpp"
 #include "mem/cache_model.hpp"
 #include "mem/memory_controller.hpp"
 #include "orchestrator/result_cache.hpp"
@@ -226,6 +230,47 @@ TEST(GenerationalProperty, CalibrationNeverExceedsTheoretical) {
               spec.gpu_peak_fp32_gflops());
   }
 }
+
+// --------------------------------------------- functional GEMM bits ------
+
+/// Every Table-2 path sums each C element from 0.0f in ascending k, so its
+/// functional output is bit-identical to the plain float dot product —
+/// including sizes that are not a multiple of any threadgroup or tile edge.
+class GemmBitsProperty : public ::testing::TestWithParam<GemmImpl> {};
+
+TEST_P(GemmBitsProperty, FunctionalOutputEqualsPlainDotProductBitForBit) {
+  core::System system(ChipModel::kM2);
+  auto impl = gemm::create_gemm(GetParam(), system.gemm_context());
+  for (const std::size_t n : {1u, 7u, 8u, 9u, 33u, 100u, 128u, 257u}) {
+    harness::MatrixSet matrices(n, true, 1000 + n);
+    impl->multiply(n, matrices.memory_length(), matrices.left(),
+                   matrices.right(), matrices.out(), /*functional=*/true);
+    const float* a = matrices.left();
+    const float* b = matrices.right();
+    std::vector<float> expected(n * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        float acc = 0.0f;
+        for (std::size_t k = 0; k < n; ++k) {
+          acc += a[i * n + k] * b[k * n + j];
+        }
+        expected[i * n + j] = acc;
+      }
+    }
+    EXPECT_EQ(std::memcmp(expected.data(), matrices.out(),
+                          n * n * sizeof(float)),
+              0)
+        << soc::to_string(GetParam()) << " n=" << n;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllImpls, GemmBitsProperty,
+                         ::testing::ValuesIn(kAllGemmImpls),
+                         [](const auto& info) {
+                           std::string name = soc::to_string(info.param);
+                           std::erase(name, '-');
+                           return name;
+                         });
 
 // ------------------------------------------------------- wire framing ------
 

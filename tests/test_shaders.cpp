@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "accelerate/reference_blas.hpp"
@@ -44,9 +45,11 @@ class ShaderTest : public ::testing::Test {
   }
 
   /// Runs one of the GEMM shaders functionally and returns C.
+  /// `group` is the naive shader's threadgroup shape.
   std::vector<float> run_gemm(const std::string& kernel, std::uint32_t n,
                               const std::vector<float>& a,
-                              const std::vector<float>& b) {
+                              const std::vector<float>& b,
+                              metal::UInt3 group = {8, 8, 1}) {
     auto buf_a = make_buffer(n * n);
     auto buf_b = make_buffer(n * n);
     auto buf_c = make_buffer(n * n);
@@ -68,7 +71,7 @@ class ShaderTest : public ::testing::Test {
       enc->dispatch_threadgroups({groups, groups, 1},
                                  {kGemmGroupEdge, kGemmGroupEdge, 1});
     } else {
-      enc->dispatch_threads({n, n, 1}, {8, 8, 1});
+      enc->dispatch_threads({n, n, 1}, group);
     }
     enc->end_encoding();
     cmd->commit();
@@ -76,6 +79,12 @@ class ShaderTest : public ::testing::Test {
 
     const auto* out = static_cast<const float*>(buf_c->contents());
     return {out, out + n * n};
+  }
+
+  static bool bitwise_equal(const std::vector<float>& x,
+                            const std::vector<float>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
   }
 
   void check_gemm_against_reference(const std::string& kernel,
@@ -224,9 +233,28 @@ TEST_F(ShaderTest, TiledAndNaiveAgree) {
   util::fill_uniform(std::span<float>(b), 6);
   const auto naive = run_gemm("gemm_naive", n, a, b);
   const auto tiled = run_gemm("gemm_tiled", n, a, b);
-  const float err = accelerate::reference::max_abs_diff(
-      naive.data(), tiled.data(), n, n, n);
-  EXPECT_LE(err, accelerate::reference::gemm_tolerance(n));
+  // Both sum every element from 0.0f in ascending k: bit-identical.
+  EXPECT_TRUE(bitwise_equal(naive, tiled));
+}
+
+TEST_F(ShaderTest, NaiveGemmIsBitIdenticalAcrossThreadgroupShapes) {
+  // The one-group-at-a-time emulation clips edge groups and never changes
+  // an element's summation order, whatever the threadgroup shape.
+  for (const std::uint32_t n : {37u, 100u}) {
+    std::vector<float> a(n * n);
+    std::vector<float> b(n * n);
+    util::fill_uniform(std::span<float>(a), 7 + n);
+    util::fill_uniform(std::span<float>(b), 8 + n);
+    const auto expected = run_gemm("gemm_naive", n, a, b);
+    for (const metal::UInt3 group : {metal::UInt3{16, 4, 1},
+                                     metal::UInt3{32, 32, 1},
+                                     metal::UInt3{1, 1, 1},
+                                     metal::UInt3{1024, 1, 1}}) {
+      EXPECT_TRUE(bitwise_equal(run_gemm("gemm_naive", n, a, b, group),
+                                expected))
+          << "n=" << n << " group " << group.x << "x" << group.y;
+    }
+  }
 }
 
 TEST_F(ShaderTest, GemmEstimatorsReportCorrectImplClass) {
