@@ -31,8 +31,11 @@ metal::Kernel make_gemm_naive() {
     const metal::UInt3 group = ctx.threadgroup_position_in_grid;
 
     // One stack accumulator per thread of the group's x-y plane, bounded by
-    // the pipeline's thread limit (which the encoder already enforces).
-    // Threads along z would recompute the same elements, so z is ignored.
+    // the pipeline's thread limit. Threads along z would recompute the same
+    // elements, so z is ignored. The check cannot fire: the encoder refuses
+    // any dispatch whose x*y*z exceeds the same limit before it is queued.
+    // It only guards the stack array, and is not a recoverable error path
+    // (it would throw on a dispatch worker thread).
     constexpr std::uint32_t kMaxThreads =
         metal::ComputePipelineState::kMaxTotalThreadsPerThreadgroup;
     AO_REQUIRE(static_cast<std::uint64_t>(tpg.x) * tpg.y <= kMaxThreads,
@@ -55,7 +58,8 @@ metal::Kernel make_gemm_naive() {
     // k outermost: each row of B's column panel is read once per group.
     // Every element still starts at 0.0f and adds a[row,k] * b[k,col] in
     // ascending k, the order of each MSL thread's own loop.
-    float acc[kMaxThreads] = {};
+    float acc[kMaxThreads];
+    std::fill_n(acc, rows * cols, 0.0f);
     for (std::size_t kk = 0; kk < n; ++kk) {
       const float* b_row = b + kk * n;
       for (std::size_t r = 0; r < rows; ++r) {
