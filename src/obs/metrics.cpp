@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <array>
 
 namespace ao::obs {
@@ -45,7 +46,7 @@ constexpr std::array<const char*, kMetricCount> kMetricHelp = {
     "Campaigns cancelled by the abort command.",
     "Campaigns cancelled by an expired deadline.",
     "Campaign submissions rejected at admission.",
-    "Jobs executed by schedulers (local and worker-side).",
+    "Jobs executed by in-process campaign schedulers.",
     "Jobs served from the warm result cache.",
     "Measurement records streamed to clients.",
     "Store entries merged from shard results.",
@@ -153,16 +154,33 @@ const std::vector<std::uint64_t>& MetricsRegistry::histogram_buckets() {
   return kBuckets;
 }
 
+MetricsRegistry::MetricsRegistry() {
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    if (kind_of(i) != MetricKind::kHistogram &&
+        kMetricLabelKeys[i][0] == '\0') {
+      values_[i][""] = 0;
+    }
+  }
+}
+
 void MetricsRegistry::set(Metric metric, std::int64_t value,
                           const std::string& label) {
   std::lock_guard lock(mutex_);
   values_[static_cast<std::size_t>(metric)][label] = value;
 }
 
-void MetricsRegistry::clear(Metric metric) {
+void MetricsRegistry::add(
+    std::initializer_list<std::pair<Metric, std::int64_t>> deltas) {
   std::lock_guard lock(mutex_);
-  values_[static_cast<std::size_t>(metric)].clear();
-  histograms_[static_cast<std::size_t>(metric)].clear();
+  for (const auto& [metric, delta] : deltas) {
+    values_[static_cast<std::size_t>(metric)][""] += delta;
+  }
+}
+
+void MetricsRegistry::set_max(Metric metric, std::int64_t value) {
+  std::lock_guard lock(mutex_);
+  std::int64_t& sample = values_[static_cast<std::size_t>(metric)][""];
+  sample = std::max(sample, value);
 }
 
 void MetricsRegistry::replace(Metric metric,
@@ -229,6 +247,21 @@ std::string MetricsRegistry::render() const {
   }
   out += "# EOF\n";
   return out;
+}
+
+MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
+  Snapshot snap;
+  std::lock_guard lock(mutex_);
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    const auto unlabelled = values_[i].find("");
+    if (unlabelled != values_[i].end()) {
+      snap.values[i] = unlabelled->second;
+    }
+    for (const auto& [label, h] : histograms_[i]) {
+      snap.histograms[i][label] = {h.count, h.sum};
+    }
+  }
+  return snap;
 }
 
 }  // namespace ao::obs

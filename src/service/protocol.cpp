@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <iomanip>
+#include <istream>
 #include <sstream>
 
 #include "orchestrator/result_cache.hpp"
@@ -26,6 +27,27 @@ bool parse_u64_token(const std::string& token, std::uint64_t& value) {
     value = value * 10 + static_cast<std::uint64_t>(c - '0');
   }
   return true;
+}
+
+bool read_request_line(std::istream& in, std::string& line, bool& oversize) {
+  line.clear();
+  oversize = false;
+  std::streambuf& buf = *in.rdbuf();
+  for (;;) {
+    const auto c = buf.sbumpc();
+    if (c == std::char_traits<char>::eof()) {
+      in.setstate(std::ios::eofbit);
+      return !line.empty() || oversize;
+    }
+    if (c == '\n') {
+      return true;
+    }
+    if (line.size() < kMaxRequestLineBytes) {
+      line.push_back(static_cast<char>(c));
+    } else {
+      oversize = true;
+    }
+  }
 }
 
 namespace {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -88,6 +89,16 @@ struct CampaignRequest {
 /// Request directives, `query` values, task payloads and the binaries'
 /// numeric flags all read numbers through it.
 bool parse_u64_token(const std::string& token, std::uint64_t& value);
+
+/// Longest protocol line read_request_line() keeps, newline excluded.
+inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
+
+/// Reads one protocol line (without its newline) and never buffers more
+/// than kMaxRequestLineBytes of it: the rest of a longer line is consumed
+/// and dropped, and `oversize` reports the cut. Returns false at end of
+/// stream. The daemon's session loop and both ends of the worker hello
+/// read their lines through it.
+bool read_request_line(std::istream& in, std::string& line, bool& oversize);
 
 /// Whitespace tokenizer shared by the protocol parser and the service's
 /// session loop.

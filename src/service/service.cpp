@@ -32,6 +32,7 @@ using orchestrator::ExperimentJob;
 using orchestrator::JobKind;
 using orchestrator::JobQueue;
 using orchestrator::MeasurementRecord;
+using obs::Metric;
 
 /// Replies must stay line-oriented; exception text is folded onto one line.
 std::string one_line(std::string text) {
@@ -50,30 +51,6 @@ void reply_error(std::ostream& out, const std::string& code,
     out << " | line: " << one_line(input);
   }
   out << '\n';
-}
-
-/// Reads one request line (without its newline) and never buffers more than
-/// kMaxRequestLineBytes of it: the rest of a longer line is consumed and
-/// dropped, and `oversize` reports the cut. Returns false at end of stream.
-bool read_request_line(std::istream& in, std::string& line, bool& oversize) {
-  line.clear();
-  oversize = false;
-  std::streambuf& buf = *in.rdbuf();
-  for (;;) {
-    const auto c = buf.sbumpc();
-    if (c == std::char_traits<char>::eof()) {
-      in.setstate(std::ios::eofbit);
-      return !line.empty() || oversize;
-    }
-    if (c == '\n') {
-      return true;
-    }
-    if (line.size() < CampaignService::kMaxRequestLineBytes) {
-      line.push_back(static_cast<char>(c));
-    } else {
-      oversize = true;
-    }
-  }
 }
 
 /// Records a campaign will stream: one per job that produces a cacheable
@@ -157,8 +134,10 @@ class LocalFleet {
       pollfd ready{fds[0], POLLIN, 0};
       auto stream = std::make_unique<SocketStream>(fds[0]);
       std::string hello;
+      bool oversize = false;
       if (::poll(&ready, 1, kLocalHelloTimeoutMs) != 1 ||
-          !std::getline(*stream, hello) || hello.rfind("worker ", 0) != 0) {
+          !read_request_line(*stream, hello, oversize) || oversize ||
+          hello.rfind("worker ", 0) != 0) {
         // Closing the stream tells a far end that is still alive to exit.
         note_error("local worker exited before its hello");
         continue;
@@ -304,17 +283,10 @@ std::string CampaignService::cancel_code(const CancelState& state) const {
 }
 
 void CampaignService::note_cancelled(const std::string& code) {
-  std::lock_guard lock(totals_mutex_);
-  if (code == "deadline-exceeded") {
-    ++totals_.deadline_expired;
-  } else {
-    ++totals_.aborted;
-  }
-}
-
-CampaignService::Totals CampaignService::totals() const {
-  std::lock_guard lock(totals_mutex_);
-  return totals_;
+  metrics_.add({{code == "deadline-exceeded"
+                     ? Metric::kCampaignsDeadlineExpiredTotal
+                     : Metric::kCampaignsAbortedTotal,
+                 1}});
 }
 
 std::vector<CampaignService::CampaignTimeline> CampaignService::timelines()
@@ -324,7 +296,7 @@ std::vector<CampaignService::CampaignTimeline> CampaignService::timelines()
 }
 
 std::vector<std::string> CampaignService::start_log() const {
-  std::lock_guard lock(totals_mutex_);
+  std::lock_guard lock(start_log_mutex_);
   return start_log_;
 }
 
@@ -458,39 +430,44 @@ bool CampaignService::serve(std::istream& in, std::ostream& out) {
           out << "stats-client " << client << " queued " << s.queued
               << " running " << s.running << '\n';
         }
-        {
-          // Lifetime per-phase time aggregates from the timeline profiler —
-          // only phases that ever recorded a span.
-          std::lock_guard lock(profile_mutex_);
-          for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-            const auto& [count, total_ns] = phase_totals_[i];
-            if (count != 0) {
-              out << "stats-phase "
-                  << obs::phase_name(static_cast<obs::Phase>(i)) << " count "
-                  << count << " total-ns " << total_ns << '\n';
-            }
+        // Lifetime per-phase time aggregates (only phases that ever recorded
+        // a span), then the aggregate line — one registry snapshot for both.
+        const obs::MetricsRegistry::Snapshot m = metrics_.snapshot();
+        const auto& phases =
+            m.histograms[static_cast<std::size_t>(Metric::kPhaseDurationNs)];
+        for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+          const char* phase = obs::phase_name(static_cast<obs::Phase>(i));
+          const auto it = phases.find(phase);
+          if (it != phases.end()) {
+            out << "stats-phase " << phase << " count " << it->second.count
+                << " total-ns " << it->second.sum << '\n';
           }
         }
-        const Totals t = totals();
         const orchestrator::PlanCache::Stats plans = plan_cache_.stats();
-        out << "stats campaigns " << t.campaigns << " sharded "
-            << t.sharded_campaigns << " records " << t.records_streamed
-            << " executed " << t.jobs_executed << " hits " << t.cache_hits
-            << " merged " << t.merged_entries << " cache-entries "
+        out << "stats campaigns " << m[Metric::kCampaignsTotal] << " sharded "
+            << m[Metric::kCampaignsShardedTotal] << " records "
+            << m[Metric::kRecordsStreamedTotal] << " executed "
+            << m[Metric::kJobsExecutedTotal] << " hits "
+            << m[Metric::kCacheHitsTotal] << " merged "
+            << m[Metric::kMergedEntriesTotal] << " cache-entries "
             << cache_.size() << " store-entries " << cache_.store_entries()
             << " running " << queue_.running_count() << " queued "
             << queue_.queued_count() << " peak " << queue_.peak_running()
             << " rejected " << queue_.rejections() << " remote-shards "
-            << t.remote_shards << " workers " << registry_.connected_count()
-            << " idle-workers " << registry_.idle_count() << " aborted "
-            << t.aborted << " deadline-expired " << t.deadline_expired
-            << " shard-retries " << t.shard_retries << " outbox-peak "
-            << t.outbox_peak << " outbox-blocked " << t.outbox_blocked
-            << " outbox-dropped " << t.outbox_dropped << " plan-hits "
-            << plans.hits << " plan-misses " << plans.misses
-            << " plan-entries " << plans.size << " queries " << t.queries
-            << " query-records " << t.query_records << " follows "
-            << t.follows << " stale-cursors " << t.stale_cursors << '\n';
+            << m[Metric::kRemoteShardsTotal] << " workers "
+            << registry_.connected_count() << " idle-workers "
+            << registry_.idle_count() << " aborted "
+            << m[Metric::kCampaignsAbortedTotal] << " deadline-expired "
+            << m[Metric::kCampaignsDeadlineExpiredTotal] << " shard-retries "
+            << m[Metric::kShardRetriesTotal] << " outbox-peak "
+            << m[Metric::kOutboxPeakDepth] << " outbox-blocked "
+            << m[Metric::kOutboxBlockedTotal] << " outbox-dropped "
+            << m[Metric::kOutboxDroppedTotal] << " plan-hits " << plans.hits
+            << " plan-misses " << plans.misses << " plan-entries "
+            << plans.size << " queries " << m[Metric::kQueriesTotal]
+            << " query-records " << m[Metric::kQueryRecordsTotal]
+            << " follows " << m[Metric::kFollowsTotal] << " stale-cursors "
+            << m[Metric::kStaleCursorsTotal] << '\n';
       } else if (words[0] == "query") {
         reply_query(words, line, out);
       } else if (words[0] == "follow") {
@@ -566,38 +543,19 @@ void CampaignService::reply_profile(const std::string& name,
 }
 
 void CampaignService::reply_metrics(std::ostream& out) {
-  using obs::Metric;
-  // Counters restate the lifetime Totals (already monotone — two scrapes
-  // can only go up); gauges restate the current queue/registry state.
-  const Totals t = totals();
-  const auto count = [&](Metric metric, std::size_t value) {
+  // Counters settle where their events happen; only the samples the queue,
+  // the plan cache and the worker registry own are restated here.
+  const auto restate = [&](Metric metric, std::size_t value) {
     metrics_.set(metric, static_cast<std::int64_t>(value));
   };
-  count(Metric::kCampaignsTotal, t.campaigns);
-  count(Metric::kCampaignsShardedTotal, t.sharded_campaigns);
-  count(Metric::kCampaignsAbortedTotal, t.aborted);
-  count(Metric::kCampaignsDeadlineExpiredTotal, t.deadline_expired);
-  count(Metric::kQueueRejectedTotal, queue_.rejections());
-  count(Metric::kJobsExecutedTotal, t.jobs_executed);
-  count(Metric::kCacheHitsTotal, t.cache_hits);
-  count(Metric::kRecordsStreamedTotal, t.records_streamed);
-  count(Metric::kMergedEntriesTotal, t.merged_entries);
-  count(Metric::kRemoteShardsTotal, t.remote_shards);
-  count(Metric::kShardRetriesTotal, t.shard_retries);
-  count(Metric::kOutboxBlockedTotal, t.outbox_blocked);
-  count(Metric::kOutboxDroppedTotal, t.outbox_dropped);
+  restate(Metric::kQueueRejectedTotal, queue_.rejections());
   const orchestrator::PlanCache::Stats plans = plan_cache_.stats();
-  count(Metric::kPlanCacheHitsTotal, plans.hits);
-  count(Metric::kPlanCacheMissesTotal, plans.misses);
-  count(Metric::kQueriesTotal, t.queries);
-  count(Metric::kQueryRecordsTotal, t.query_records);
-  count(Metric::kFollowsTotal, t.follows);
-  count(Metric::kStaleCursorsTotal, t.stale_cursors);
-  count(Metric::kQueueDepth, queue_.queued_count());
-  count(Metric::kCampaignsRunning, queue_.running_count());
-  count(Metric::kOutboxPeakDepth, t.outbox_peak);
-  count(Metric::kWorkersConnected, registry_.connected_count());
-  count(Metric::kWorkersIdle, registry_.idle_count());
+  restate(Metric::kPlanCacheHitsTotal, plans.hits);
+  restate(Metric::kPlanCacheMissesTotal, plans.misses);
+  restate(Metric::kQueueDepth, queue_.queued_count());
+  restate(Metric::kCampaignsRunning, queue_.running_count());
+  restate(Metric::kWorkersConnected, registry_.connected_count());
+  restate(Metric::kWorkersIdle, registry_.idle_count());
   // Per-endpoint gauges are rebuilt from scratch: a retired worker's series
   // must vanish from the exposition, not linger at its last value. Each
   // family is swapped atomically — sessions run on their own threads, and a
@@ -650,15 +608,11 @@ void CampaignService::finish_campaign_profile(std::uint64_t root_span,
                             static_cast<std::ptrdiff_t>(kMaxOrphanSpans));
   }
 
-  for (const auto& [phase, stats] : obs::phase_stats(mine)) {
-    auto& [count, total_ns] = phase_totals_[static_cast<std::size_t>(phase)];
-    count += stats.count;
-    total_ns += stats.total_ns;
-  }
-  // Feed the per-phase duration histograms of the `metrics` exposition —
-  // incremental, so a scrape between two campaigns stays monotone.
+  // Feed the per-phase duration histograms behind `stats-phase` and the
+  // `metrics` exposition — incremental, so a scrape between two campaigns
+  // stays monotone.
   for (const obs::Span& span : mine) {
-    metrics_.observe(obs::Metric::kPhaseDurationNs, span.duration_ns,
+    metrics_.observe(Metric::kPhaseDurationNs, span.duration_ns,
                      obs::phase_name(span.phase));
   }
 
@@ -726,7 +680,7 @@ void CampaignService::run_campaign(const CampaignRequest& request,
   }
   // Unregisters the cancel handle BEFORE the outbox dies (the abort command
   // dereferences state->outbox only for registered handles, under the same
-  // lock), then folds the outbox's flow-control accounting into the totals.
+  // lock), then counts the outbox's flow-control accounting.
   struct ActiveGuard {
     CampaignService& service;
     std::shared_ptr<CancelState> state;
@@ -741,11 +695,9 @@ void CampaignService::run_campaign(const CampaignRequest& request,
       }
       outbox.close();
       const SessionOutbox::Stats stats = outbox.stats();
-      std::lock_guard lock(service.totals_mutex_);
-      service.totals_.outbox_peak =
-          std::max(service.totals_.outbox_peak, stats.high_water);
-      service.totals_.outbox_blocked += stats.blocked;
-      service.totals_.outbox_dropped += stats.dropped;
+      service.metrics_.set_max(Metric::kOutboxPeakDepth, stats.high_water);
+      service.metrics_.add({{Metric::kOutboxBlockedTotal, stats.blocked},
+                            {Metric::kOutboxDroppedTotal, stats.dropped}});
     }
   } active_guard{*this, cancel, outbox};
 
@@ -821,7 +773,7 @@ void CampaignService::run_campaign(const CampaignRequest& request,
     return;
   }
   {
-    std::lock_guard lock(totals_mutex_);
+    std::lock_guard lock(start_log_mutex_);
     // Bounded start history (the queue tests assert admission order on it;
     // stats introspection reads it) — a long-lived daemon must not grow it
     // per campaign forever.
@@ -866,7 +818,7 @@ void CampaignService::run_campaign(const CampaignRequest& request,
     journal->complete = cancel_code(*cancel).empty();
   }
   // The root span closes here so the drain below sees it; the timeline,
-  // phase totals and (optionally) the JSON artifact settle with it.
+  // phase histograms and (optionally) the JSON artifact settle with it.
   root.close();
   finish_campaign_profile(root.id(), id, request.name, request.client);
   // `ticket` dies here: the resource claim is released and the next
@@ -922,10 +874,7 @@ void CampaignService::run_in_process(
     const std::uint64_t now = profiler_.now();
     profiler_.record(obs::Phase::kAbort, now, now, root_span, e.code());
     note_cancelled(e.code());
-    {
-      std::lock_guard lock(totals_mutex_);
-      totals_.records_streamed += streamed;
-    }
+    metrics_.add({{Metric::kRecordsStreamedTotal, streamed}});
     out << e.code() << " campaign " << id << '\n';
     out << "error " << e.code() << " campaign " << id << " records "
         << streamed << " of " << expected_records << " streamed before stop\n";
@@ -938,13 +887,10 @@ void CampaignService::run_in_process(
     return;
   }
 
-  {
-    std::lock_guard lock(totals_mutex_);
-    ++totals_.campaigns;
-    totals_.records_streamed += streamed;
-    totals_.jobs_executed += outputs.stats.jobs_executed;
-    totals_.cache_hits += outputs.stats.cache_hits;
-  }
+  metrics_.add({{Metric::kCampaignsTotal, 1},
+                {Metric::kRecordsStreamedTotal, streamed},
+                {Metric::kJobsExecutedTotal, outputs.stats.jobs_executed},
+                {Metric::kCacheHitsTotal, outputs.stats.cache_hits}});
   out << "done campaign " << id << " records " << streamed << " executed "
       << outputs.stats.jobs_executed << " hits " << outputs.stats.cache_hits
       << '\n';
@@ -1131,16 +1077,13 @@ void CampaignService::run_sharded(
   }
   const std::string stop_code = should_stop ? should_stop() : std::string{};
 
-  {
-    std::lock_guard lock(totals_mutex_);
-    ++totals_.campaigns;
-    ++totals_.sharded_campaigns;
-    totals_.records_streamed += run.streamed;
-    totals_.cache_hits += warm_hits;
-    totals_.merged_entries += run.merged;
-    totals_.remote_shards += remote_executed;
-    totals_.shard_retries += run.retries;
-  }
+  metrics_.add({{Metric::kCampaignsTotal, 1},
+                {Metric::kCampaignsShardedTotal, 1},
+                {Metric::kRecordsStreamedTotal, run.streamed},
+                {Metric::kCacheHitsTotal, warm_hits},
+                {Metric::kMergedEntriesTotal, run.merged},
+                {Metric::kRemoteShardsTotal, remote_executed},
+                {Metric::kShardRetriesTotal, run.retries}});
   if (!run.failure.empty()) {
     out << "error exec-failed campaign " << id << " " << one_line(run.failure)
         << '\n';
@@ -1480,18 +1423,10 @@ std::shared_ptr<CampaignService::CampaignJournal> CampaignService::find_journal(
 void CampaignService::note_query_span(std::uint64_t started_ns,
                                       const std::string& label) {
   // Read-path spans have no campaign root to ride into a timeline, so their
-  // phase totals and histogram observation settle here, directly.
+  // histogram observation settles here, directly.
   const std::uint64_t now = profiler_.now();
   profiler_.record(obs::Phase::kQuery, started_ns, now, 0, label);
-  const std::uint64_t duration = now - started_ns;
-  {
-    std::lock_guard lock(profile_mutex_);
-    auto& [count, total_ns] =
-        phase_totals_[static_cast<std::size_t>(obs::Phase::kQuery)];
-    ++count;
-    total_ns += duration;
-  }
-  metrics_.observe(obs::Metric::kPhaseDurationNs, duration, "query");
+  metrics_.observe(Metric::kPhaseDurationNs, now - started_ns, "query");
 }
 
 void CampaignService::reply_query(const std::vector<std::string>& words,
@@ -1570,8 +1505,7 @@ void CampaignService::reply_query(const std::vector<std::string>& words,
   const auto page = cache_.query(filter, limit, cursor, &code);
   if (!page.has_value()) {
     if (code == "stale-cursor") {
-      std::lock_guard lock(totals_mutex_);
-      ++totals_.stale_cursors;
+      metrics_.add({{Metric::kStaleCursorsTotal, 1}});
     }
     reply_error(out, code,
                 code == "no-store" ? "no write-through store attached"
@@ -1588,11 +1522,8 @@ void CampaignService::reply_query(const std::vector<std::string>& words,
       << page->matched << " generation " << page->generation << " read "
       << page->entries_read << " cursor "
       << (page->exhausted ? std::string("end") : page->cursor) << '\n';
-  {
-    std::lock_guard lock(totals_mutex_);
-    ++totals_.queries;
-    totals_.query_records += page->lines.size();
-  }
+  metrics_.add({{Metric::kQueriesTotal, 1},
+                {Metric::kQueryRecordsTotal, page->lines.size()}});
   note_query_span(started_ns, "indexed read " +
                                   std::to_string(page->entries_read) + "/" +
                                   std::to_string(cache_.store_entries()) +
@@ -1642,10 +1573,7 @@ void CampaignService::reply_follow(const std::vector<std::string>& words,
       // A token from an older run of this name: its journal was superseded,
       // so replaying against the newer stream would duplicate or skip
       // records.
-      {
-        std::lock_guard lock(totals_mutex_);
-        ++totals_.stale_cursors;
-      }
+      metrics_.add({{Metric::kStaleCursorsTotal, 1}});
       reply_error(out, "stale-cursor",
                   "cursor belongs to a superseded campaign run; restart the "
                   "follow",
@@ -1665,10 +1593,7 @@ void CampaignService::reply_follow(const std::vector<std::string>& words,
        ++i) {
     const auto entry = cache_.fetch_entry(keys[i]);
     if (!entry.has_value()) {
-      {
-        std::lock_guard lock(totals_mutex_);
-        ++totals_.stale_cursors;
-      }
+      metrics_.add({{Metric::kStaleCursorsTotal, 1}});
       reply_error(out, "stale-cursor",
                   "record " + std::to_string(i) +
                       " left the store (evicted, then compacted away); "
@@ -1686,11 +1611,8 @@ void CampaignService::reply_follow(const std::vector<std::string>& words,
       << sent << " position " << keys.size() << " cursor "
       << encode_follow_cursor(journal_id, keys.size()) << " state "
       << (complete ? "complete" : "partial") << '\n';
-  {
-    std::lock_guard lock(totals_mutex_);
-    ++totals_.follows;
-    totals_.query_records += sent;
-  }
+  metrics_.add(
+      {{Metric::kFollowsTotal, 1}, {Metric::kQueryRecordsTotal, sent}});
   note_query_span(started_ns,
                   "follow " + name + " records " + std::to_string(sent));
 }

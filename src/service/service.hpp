@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -109,44 +108,15 @@ class CampaignService {
     std::size_t plan_cache_capacity = 64;
   };
 
-  struct Totals {
-    std::size_t campaigns = 0;
-    std::size_t sharded_campaigns = 0;
-    std::size_t records_streamed = 0;
-    /// Jobs executed by in-process campaigns. Sharded work runs in worker
-    /// processes whose schedulers don't report back; it shows up as
-    /// merged_entries instead.
-    std::size_t jobs_executed = 0;
-    std::size_t cache_hits = 0;      ///< in-process scheduler hits + warm
-                                     ///< groups served before sharding
-    std::size_t merged_entries = 0;  ///< shard-store entries merged back
-    std::size_t remote_shards = 0;   ///< shards executed on remote workers
-    std::size_t aborted = 0;           ///< campaigns cancelled by `abort`
-    std::size_t deadline_expired = 0;  ///< campaigns past their `deadline`
-    std::size_t shard_retries = 0;     ///< shards re-dispatched after a
-                                       ///< worker endpoint died mid-shard
-    std::size_t outbox_peak = 0;     ///< deepest per-campaign outbox queue
-    std::size_t outbox_blocked = 0;  ///< record pushes stalled by a slow
-                                     ///< client (backpressure events)
-    std::size_t outbox_dropped = 0;  ///< record lines dropped by aborts
-    std::size_t queries = 0;         ///< `query` commands served
-    std::size_t query_records = 0;   ///< entry lines streamed by query/follow
-    std::size_t follows = 0;         ///< `follow` streams served
-    std::size_t stale_cursors = 0;   ///< reads rejected with `stale-cursor`
-  };
-
-  /// Longest request line serve() accepts, newline excluded. A longer line
-  /// is answered with `error bad-request` and dropped without buffering
-  /// past the cap; the session continues.
-  static constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
-
   explicit CampaignService(Config config);
 
   /// Handles one protocol session until the stream ends or a `shutdown`
   /// command arrives; returns true on shutdown. Malformed lines get an
   /// `error` reply (stable code + the offending input line) and the session
-  /// continues — a bad request never takes the service down. Thread-safe:
-  /// concurrent sessions share the queue, the cache and the totals.
+  /// continues — a bad request never takes the service down; a line longer
+  /// than kMaxRequestLineBytes gets `error bad-request` and is dropped
+  /// unbuffered. Thread-safe: concurrent sessions share the queue, the
+  /// cache and the metrics.
   bool serve(std::istream& in, std::ostream& out);
 
   /// One completed campaign's retained span timeline — what the `profile`
@@ -168,7 +138,6 @@ class CampaignService {
   obs::TimelineProfiler& profiler() { return profiler_; }
   /// Retained per-campaign timelines, oldest first.
   std::vector<CampaignTimeline> timelines() const;
-  Totals totals() const;
   /// Campaign names in the order the queue admitted them (most recent
   /// kStartLogCapacity entries) — the observable start order the queue
   /// tests assert on.
@@ -196,7 +165,7 @@ class CampaignService {
   /// "aborted" / "deadline-exceeded" when the campaign must stop, "" while
   /// it may continue. Abort wins when both apply.
   std::string cancel_code(const CancelState& state) const;
-  /// Folds one cancelled campaign into the totals.
+  /// Counts one cancelled campaign (aborted or deadline-expired).
   void note_cancelled(const std::string& code);
 
   struct CampaignJournal;  // defined below, next to its helpers
@@ -246,20 +215,19 @@ class CampaignService {
 
   /// Settles one finished campaign's telemetry: drains the profiler, pulls
   /// the root's subtree out (spans of still-running concurrent campaigns go
-  /// back to the orphan pool), folds its per-phase stats into the `stats`
-  /// totals, retains the timeline for the `profile` command, and — with
-  /// Config::profile_dir set — writes the JSON artifact. The campaign's root
-  /// span must already be closed.
+  /// back to the orphan pool), observes its spans into the per-phase
+  /// duration histograms, retains the timeline for the `profile` command,
+  /// and — with Config::profile_dir set — writes the JSON artifact. The
+  /// campaign's root span must already be closed.
   void finish_campaign_profile(std::uint64_t root_span, std::uint64_t id,
                                const std::string& name,
                                const std::string& client);
   /// Handles the `profile [name]` command: replays the newest retained
   /// timeline (newest of that campaign name, with one given).
   void reply_profile(const std::string& name, std::ostream& out) const;
-  /// Handles the `metrics` command: refreshes the counter/gauge samples
-  /// from the lifetime totals and fleet state (both already monotone where
-  /// Prometheus requires it) and streams the text exposition, terminated by
-  /// the `# EOF` marker.
+  /// Handles the `metrics` command: refreshes the samples other modules own
+  /// (queue, plan cache, worker registry) and streams the text exposition,
+  /// terminated by the `# EOF` marker.
   void reply_metrics(std::ostream& out);
 
   /// The record stream of one campaign, retained for `follow` replays: the
@@ -292,7 +260,7 @@ class CampaignService {
   void reply_follow(const std::vector<std::string>& words,
                     const std::string& line, std::ostream& out);
   /// Settles one read-path command's telemetry: the kQuery span plus its
-  /// phase totals/histogram (read spans have no campaign root to ride).
+  /// histogram observation (read spans have no campaign root to ride).
   void note_query_span(std::uint64_t started_ns, const std::string& label);
 
   Config config_;
@@ -315,8 +283,7 @@ class CampaignService {
   /// Retained start_log() depth; old entries roll off.
   static constexpr std::size_t kStartLogCapacity = 64;
 
-  mutable std::mutex totals_mutex_;
-  Totals totals_;
+  mutable std::mutex start_log_mutex_;
   std::vector<std::string> start_log_;
 
   /// Every in-flight campaign's cancellation handle — what `abort <name>`
@@ -334,14 +301,11 @@ class CampaignService {
   mutable std::mutex profile_mutex_;
   std::deque<CampaignTimeline> timelines_;
   std::vector<obs::Span> orphan_spans_;  ///< drained, not yet rooted
-  /// Lifetime per-phase aggregates (count, total_ns) — the `stats-phase`
-  /// feed; indexed by static_cast<size_t>(Phase).
-  std::array<std::pair<std::size_t, std::uint64_t>, obs::kPhaseCount>
-      phase_totals_{};
 
-  /// The Prometheus exposition surface behind the `metrics` command.
-  /// Histograms accumulate as campaigns finish; counters and gauges are
-  /// refreshed from Totals / queue / registry at scrape time.
+  /// The one store of the daemon's lifetime counters and phase histograms,
+  /// read by both `stats` and `metrics`. Counters are added to where the
+  /// event happens; gauges owned by the queue, plan cache and worker
+  /// registry are refreshed at scrape time.
   obs::MetricsRegistry metrics_;
 
   /// Recent campaigns' record streams for `follow` (bounded, oldest first).

@@ -242,8 +242,14 @@ int run_worker_session(std::istream& in, std::ostream& out,
   out << "worker " << name << '\n';
   out.flush();
   std::string reply;
-  if (!std::getline(in, reply)) {
+  bool oversize = false;
+  if (!read_request_line(in, reply, oversize)) {
     std::cerr << "ao_worker: connection closed before the hello ack\n";
+    return 1;
+  }
+  if (oversize) {
+    std::cerr << "ao_worker: hello ack longer than " << kMaxRequestLineBytes
+              << " bytes\n";
     return 1;
   }
   if (!reply.empty() && reply.back() == '\r') {

@@ -883,8 +883,9 @@ TEST(FaultStreamTest, TruncatesCorruptsAndStallsAtTheScriptedOffset) {
 }
 
 // The worker side of the wire under scripted faults: a clean EOF is a
-// normal daemon departure (exit 0); a frame cut or corrupted mid-payload
-// is a protocol violation (exit 1) — never a hang or a crash.
+// normal daemon departure (exit 0); a frame cut or corrupted mid-payload,
+// or an oversize hello ack, is a protocol violation (exit 1) — never a
+// hang or a crash.
 TEST(FaultStreamTest, WorkerSessionDistinguishesCleanEofFromFrameFaults) {
   CampaignRequest request;
   request.name = "t";
@@ -906,6 +907,13 @@ TEST(FaultStreamTest, WorkerSessionDistinguishesCleanEofFromFrameFaults) {
   {
     const std::string bytes = hello_ack + task_frame;
     test::FaultStream in(bytes, test::Fault::kCorrupt, bytes.size() - 10);
+    std::ostringstream out;
+    EXPECT_EQ(run_worker_session(in, out, "w"), 1);
+  }
+  {
+    // An ack past the line cap is refused, not buffered whole.
+    test::FaultStream in("ok worker w" +
+                         std::string(kMaxRequestLineBytes, ' ') + "\n");
     std::ostringstream out;
     EXPECT_EQ(run_worker_session(in, out, "w"), 1);
   }

@@ -467,7 +467,7 @@ TEST(QueryFuzz, MutatedRequestLinesFailStructurallyNeverCrash) {
       "query size 18446744073709551616 limit 2",
       // Past the request-line cap: refused unread, the session lives on.
       "query limit " +
-          std::string(service::CampaignService::kMaxRequestLineBytes, '1'),
+          std::string(service::kMaxRequestLineBytes, '1'),
   };
   const std::string splice_tokens[] = {
       "kind",   "chip",  "impl",       "size",  "limit",  "cursor",
@@ -533,7 +533,7 @@ TEST(QueryFuzz, TwentyDigitValuesAreRefusedNotWrapped) {
 
 TEST(QueryFuzz, OversizeRequestLineIsRefusedAndTheSessionLives) {
   service::CampaignService service({});
-  const std::size_t cap = service::CampaignService::kMaxRequestLineBytes;
+  const std::size_t cap = service::kMaxRequestLineBytes;
   // One byte past the cap is refused without echoing the line; a line of
   // exactly the cap ("ping" padded with blanks) is still served.
   const std::string over = "ping" + std::string(cap - 3, ' ');

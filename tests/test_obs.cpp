@@ -509,10 +509,6 @@ TEST(ObsMetrics, RenderIsPrometheusTextExposition) {
   // The OpenMetrics terminator is the protocol's end-of-reply sentinel.
   EXPECT_EQ(text.rfind("# EOF\n"), text.size() - 6);
 
-  // clear() drops a retired worker's series entirely.
-  registry.clear(Metric::kWorkerRttNs);
-  EXPECT_EQ(registry.render().find("ao_worker_rtt_ns{"), std::string::npos);
-
   // replace() swaps a labelled family's full sample set in one call: the
   // retired w1 series vanishes and the new endpoints appear together.
   registry.replace(Metric::kWorkerClockOffsetNs,

@@ -1506,6 +1506,22 @@ TEST(CampaignService, MetricsCommandRendersMonotonicPrometheusText) {
     return counters;
   };
 
+  // Before any campaign every unlabelled counter and gauge is already
+  // exposed, at 0 (the per-worker gauges have no endpoint to label yet).
+  {
+    const auto lines = serve_lines(service, "metrics\n");
+    for (std::size_t i = 0; i < obs::kMetricCount; ++i) {
+      const auto metric = static_cast<obs::Metric>(i);
+      if (metric_kind(metric) == obs::MetricKind::kHistogram ||
+          metric == obs::Metric::kWorkerRttNs ||
+          metric == obs::Metric::kWorkerClockOffsetNs) {
+        continue;
+      }
+      const std::string sample = std::string(metric_name(metric)) + " 0";
+      EXPECT_NE(std::find(lines.begin(), lines.end(), sample), lines.end())
+          << sample;
+    }
+  }
   const auto before = scrape();
   ASSERT_NE(before.count("ao_campaigns_total"), 0u);
   EXPECT_EQ(before.at("ao_campaigns_total"), 0);
@@ -1538,6 +1554,149 @@ TEST(CampaignService, MetricsCommandRendersMonotonicPrometheusText) {
 }
 
 // ------------------------------------------------- plan cache (service) -----
+
+// `stats` and `metrics` read one counter store: after campaigns of both
+// execution paths, the read path, a stale cursor and an abort, every
+// `stats` token with a metric twin equals that metric, and every
+// `stats-phase` aggregate equals its phase histogram's count and sum.
+TEST(CampaignService, StatsAndMetricsAgreeOnEveryCounter) {
+  const auto dir = temp_dir("stats_metrics");
+  CampaignService::Config config;
+  config.store_path = (dir / "agree.store").string();
+  CampaignService service(config);
+
+  // An abort: the campaign waits behind a blocker ticket until cancelled.
+  {
+    auto blocker = service.queue().submit("blocker", 0, kResourceAll);
+    ASSERT_TRUE(blocker);
+    ASSERT_TRUE(blocker->try_start());
+    std::thread waiter([&service] {
+      serve_lines(service,
+                  "begin doomed\nchips m1\nsme 32\nrepetitions 1\nrun\n");
+    });
+    ASSERT_TRUE(
+        wait_until([&] { return service.queue().queued_count() == 1; }));
+    ASSERT_TRUE(wait_until([&] {
+      const auto reply = serve_lines(service, "abort doomed\n");
+      return !reply.empty() && reply[0] == "ok abort doomed cancelled 1";
+    }));
+    waiter.join();
+  }
+  const auto in_process = serve_lines(
+      service,
+      "begin agree\nchips m1,m2\nimpls cpu-single\nsizes 16,24\n"
+      "repetitions 1\nrun\n");
+  ASSERT_TRUE(starts_with(in_process.back(), "done campaign "))
+      << in_process.back();
+  const auto sharded = serve_lines(service, nine_kind_block(2, 2));
+  ASSERT_TRUE(starts_with(sharded.back(), "done campaign "))
+      << sharded.back();
+  ASSERT_NE(sharded.back().find("shards 2"), std::string::npos);
+
+  // The read path: one page, a follow replay, then a cursor outlived by a
+  // store rewrite.
+  const auto page = serve_lines(service, "query limit 3\n");
+  ASSERT_TRUE(starts_with(page.back(), "query-page count 3 ")) << page.back();
+  const std::string cursor = page.back().substr(page.back().rfind(' ') + 1);
+  ASSERT_TRUE(starts_with(serve_lines(service, "follow ninekinds\n").back(),
+                          "follow campaign "));
+  serve_lines(service, "compact\n");
+  const auto stale = serve_lines(service, "query limit 3 cursor " + cursor +
+                                              "\n");
+  ASSERT_TRUE(starts_with(stale.back(), "error stale-cursor ")) << stale.back();
+
+  const auto replies = serve_lines(service, "stats\nmetrics\n");
+  std::map<std::string, long long> stats;
+  std::map<std::string, std::pair<long long, long long>> stats_phases;
+  std::map<std::string, long long> samples;
+  for (const auto& line : replies) {
+    std::istringstream in(line);
+    std::string head;
+    in >> head;
+    if (head == "stats") {
+      std::string token;
+      long long value = 0;
+      while (in >> token >> value) {
+        stats[token] = value;
+      }
+    } else if (head == "stats-phase") {
+      std::string phase;
+      std::string tag;
+      long long count = 0;
+      long long total_ns = 0;
+      ASSERT_TRUE(in >> phase >> tag >> count >> tag >> total_ns) << line;
+      stats_phases[phase] = {count, total_ns};
+    } else if (starts_with(head, "ao_")) {
+      in >> samples[head];
+    }
+  }
+  ASSERT_EQ(stats.size(), 28u) << replies.back();
+
+  const std::pair<const char*, const char*> twins[] = {
+      {"campaigns", "ao_campaigns_total"},
+      {"sharded", "ao_campaigns_sharded_total"},
+      {"records", "ao_records_streamed_total"},
+      {"executed", "ao_jobs_executed_total"},
+      {"hits", "ao_cache_hits_total"},
+      {"merged", "ao_merged_entries_total"},
+      {"running", "ao_campaigns_running"},
+      {"queued", "ao_queue_depth"},
+      {"rejected", "ao_queue_rejected_total"},
+      {"remote-shards", "ao_remote_shards_total"},
+      {"workers", "ao_workers_connected"},
+      {"idle-workers", "ao_workers_idle"},
+      {"aborted", "ao_campaigns_aborted_total"},
+      {"deadline-expired", "ao_campaigns_deadline_expired_total"},
+      {"shard-retries", "ao_shard_retries_total"},
+      {"outbox-peak", "ao_outbox_peak_depth"},
+      {"outbox-blocked", "ao_outbox_blocked_total"},
+      {"outbox-dropped", "ao_outbox_dropped_total"},
+      {"plan-hits", "ao_plan_cache_hits_total"},
+      {"plan-misses", "ao_plan_cache_misses_total"},
+      {"queries", "ao_queries_total"},
+      {"query-records", "ao_query_records_total"},
+      {"follows", "ao_follows_total"},
+      {"stale-cursors", "ao_stale_cursors_total"},
+  };
+  for (const auto& [token, metric] : twins) {
+    ASSERT_EQ(stats.count(token), 1u) << token;
+    ASSERT_EQ(samples.count(metric), 1u) << metric;
+    EXPECT_EQ(stats[token], samples[metric]) << token << " vs " << metric;
+  }
+  // The scenario reached every path it meant to.
+  EXPECT_EQ(stats["campaigns"], 2);
+  EXPECT_EQ(stats["sharded"], 1);
+  EXPECT_EQ(stats["records"], 24);
+  EXPECT_GT(stats["executed"], 0);
+  EXPECT_GT(stats["merged"], 0);
+  EXPECT_EQ(stats["aborted"], 1);
+  EXPECT_EQ(stats["queries"], 1);
+  EXPECT_EQ(stats["follows"], 1);
+  EXPECT_EQ(stats["query-records"], 23);
+  EXPECT_EQ(stats["stale-cursors"], 1);
+  EXPECT_GT(stats["outbox-peak"], 0);
+
+  std::size_t phase_histograms = 0;
+  for (const auto& [name, value] : samples) {
+    const std::string prefix = "ao_phase_duration_ns_count{phase=\"";
+    if (!starts_with(name, prefix)) {
+      continue;
+    }
+    ++phase_histograms;
+    const std::string phase =
+        name.substr(prefix.size(), name.size() - prefix.size() - 2);
+    ASSERT_EQ(stats_phases.count(phase), 1u) << phase;
+    EXPECT_EQ(stats_phases[phase].first, value) << phase;
+    EXPECT_EQ(stats_phases[phase].second,
+              samples["ao_phase_duration_ns_sum{phase=\"" + phase + "\"}"])
+        << phase;
+  }
+  EXPECT_EQ(phase_histograms, stats_phases.size());
+  EXPECT_EQ(stats_phases.count("merge"), 1u);
+  EXPECT_EQ(stats_phases.count("query"), 1u);
+  EXPECT_EQ(stats_phases.count("abort"), 1u);
+  std::filesystem::remove_all(dir);
+}
 
 TEST(Protocol, PlanKeyCoversContentNotIdentityOrScheduling) {
   const CampaignRequest base = full_request();
