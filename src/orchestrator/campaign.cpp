@@ -1,6 +1,7 @@
 #include "orchestrator/campaign.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <tuple>
 
@@ -140,8 +141,10 @@ std::vector<Campaign::JobGroup> Campaign::groups() const {
         ExperimentJob measure;
         measure.kind = JobKind::kGemmMeasure;
         // Large sizes first: the long-running points start while the small
-        // ones backfill idle workers.
-        measure.priority = static_cast<int>(n);
+        // ones backfill idle workers. Saturated, so a size past INT_MAX
+        // still ranks first instead of wrapping negative.
+        measure.priority = static_cast<int>(
+            std::min<std::size_t>(n, std::numeric_limits<int>::max()));
         measure.chip = chip;
         measure.impl = impl;
         measure.n = n;

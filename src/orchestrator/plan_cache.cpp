@@ -1,7 +1,6 @@
 #include "orchestrator/plan_cache.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "util/error.hpp"
 
@@ -42,7 +41,7 @@ std::shared_ptr<const CompiledCampaign> PlanCache::checkout(
     lru_.splice(lru_.begin(), lru_, found->second);
     return found->second->compiled;
   }
-  lru_.push_front(Entry{key, compiled, {}});
+  lru_.push_front(Entry{key, compiled});
   index_[key] = lru_.begin();
   while (lru_.size() > capacity_) {
     index_.erase(lru_.back().key);
@@ -50,35 +49,6 @@ std::shared_ptr<const CompiledCampaign> PlanCache::checkout(
     ++stats_.evictions;
   }
   return compiled;
-}
-
-std::shared_ptr<const std::vector<std::vector<std::size_t>>>
-PlanCache::shard_partition(
-    const std::string& key, std::size_t shard_count,
-    const std::function<std::vector<std::vector<std::size_t>>()>& plan) {
-  {
-    std::lock_guard lock(mutex_);
-    const auto found = index_.find(key);
-    if (found == index_.end()) {
-      return nullptr;
-    }
-    const auto memo = found->second->partitions.find(shard_count);
-    if (memo != found->second->partitions.end()) {
-      return memo->second;
-    }
-  }
-  auto partition =
-      std::make_shared<const std::vector<std::vector<std::size_t>>>(plan());
-  std::lock_guard lock(mutex_);
-  const auto found = index_.find(key);
-  if (found == index_.end()) {
-    // Evicted while planning: hand the caller its partition anyway, but
-    // don't resurrect the entry.
-    return partition;
-  }
-  const auto [memo, inserted] =
-      found->second->partitions.emplace(shard_count, partition);
-  return memo->second;
 }
 
 PlanCache::Stats PlanCache::stats() const {

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -39,11 +38,6 @@ CompiledCampaign compile_campaign(const Campaign& campaign);
 /// fields (client, priority, worker/shard counts, deadline) intentionally
 /// share a compilation: those fields cannot change groups().
 ///
-/// Each entry also memoizes full-set LPT shard partitions per shard count
-/// (shard_partition()): group-index lists over the WHOLE group list, valid
-/// only when every group is pending — the caller must fall back to planning
-/// when a warm result cache already settled some groups.
-///
 /// Thread-safe; compile callbacks run OUTSIDE the lock (expansion can be
 /// slow), so two concurrent misses on one key may both compile — benign,
 /// expansion is deterministic and the second insert is dropped.
@@ -67,15 +61,6 @@ class PlanCache {
   std::shared_ptr<const CompiledCampaign> checkout(
       const std::string& key, const std::function<CompiledCampaign()>& compile);
 
-  /// The memoized full-set shard partition for (key, shard_count): per-shard
-  /// sorted group-index lists over compiled.groups. Computes via `plan` on
-  /// the first request (outside the lock) and remembers it on the entry.
-  /// Returns nullptr when `key` is not resident (checkout() first) — the
-  /// partition memo never resurrects an evicted compilation.
-  std::shared_ptr<const std::vector<std::vector<std::size_t>>> shard_partition(
-      const std::string& key, std::size_t shard_count,
-      const std::function<std::vector<std::vector<std::size_t>>()>& plan);
-
   Stats stats() const;
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const;
@@ -85,10 +70,6 @@ class PlanCache {
   struct Entry {
     std::string key;
     std::shared_ptr<const CompiledCampaign> compiled;
-    /// shard_count → full-set partition (group indices per shard).
-    std::map<std::size_t,
-             std::shared_ptr<const std::vector<std::vector<std::size_t>>>>
-        partitions;
   };
 
   mutable std::mutex mutex_;

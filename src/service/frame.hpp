@@ -10,8 +10,8 @@ namespace ao::service {
 
 // Binary-safe, length-prefixed frames embedded in the service's line
 // protocol — the transport the distributed shard workers use to ship
-// record batches and whole result stores over a socket instead of a shared
-// filesystem (grammar in docs/service.md#wire-format-frames):
+// record batches over a socket instead of a shared filesystem (grammar in
+// docs/service.md#wire-format-frames):
 //
 //   @frame1 <type> <length> <digest>\n
 //   <length raw payload bytes>\n

@@ -707,7 +707,6 @@ void CampaignService::run_campaign(const CampaignRequest& request,
   std::size_t expected_records = 0;
   std::size_t shard_count = 0;
   std::size_t group_count = 0;
-  const std::string plan_cache_key = plan_key(request);
   std::shared_ptr<const orchestrator::CompiledCampaign> compiled;
   {
     // Request expansion and shard sizing — the first `schedule` span; the
@@ -719,7 +718,7 @@ void CampaignService::run_campaign(const CampaignRequest& request,
                                           "expand");
     const std::uint64_t plan_start = profiler_.now();
     bool compiled_here = false;
-    compiled = plan_cache_.checkout(plan_cache_key, [&] {
+    compiled = plan_cache_.checkout(plan_key(request), [&] {
       compiled_here = true;
       return orchestrator::compile_campaign(request.to_campaign());
     });
@@ -803,9 +802,8 @@ void CampaignService::run_campaign(const CampaignRequest& request,
   // fleet daemon relies on that isolation; docs/operations.md).
   if (shard_count > 1 ||
       (config_.remote_only && request.shards > 1 && group_count != 0)) {
-    run_sharded(request, compiled, plan_cache_key, id,
-                std::max<std::size_t>(1, shard_count), expected_records,
-                root.id(), should_stop, journal.get(), out);
+    run_sharded(request, compiled, id, std::max<std::size_t>(1, shard_count),
+                expected_records, root.id(), should_stop, journal.get(), out);
   } else {
     run_in_process(request, compiled, id, expected_records, root.id(),
                    should_stop, journal.get(), out);
@@ -823,6 +821,19 @@ void CampaignService::run_campaign(const CampaignRequest& request,
   finish_campaign_profile(root.id(), id, request.name, request.client);
   // `ticket` dies here: the resource claim is released and the next
   // conflicting campaign in the queue wakes up.
+}
+
+void CampaignService::write_record(CampaignJournal* journal,
+                                   const orchestrator::CacheKey& key,
+                                   const std::string& entry,
+                                   std::size_t& streamed,
+                                   std::size_t expected_records,
+                                   std::ostream& out) {
+  journal_append(journal, key);
+  out << "record " << entry << '\n';
+  ++streamed;
+  out << "progress " << streamed << "/" << expected_records << '\n';
+  out.flush();
 }
 
 void CampaignService::run_in_process(
@@ -859,13 +870,10 @@ void CampaignService::run_in_process(
               obs::TimelineProfiler::kInheritParent, "record");
           const orchestrator::CacheKey key =
               orchestrator::key_for_job(job, options_fp);
-          journal_append(journal, key);
+          const std::string entry =
+              orchestrator::format_store_entry(key, record);
           std::lock_guard lock(out_mutex);
-          out << "record " << orchestrator::format_store_entry(key, record)
-              << '\n';
-          ++streamed;
-          out << "progress " << streamed << "/" << expected_records << '\n';
-          out.flush();
+          write_record(journal, key, entry, streamed, expected_records, out);
         },
         should_stop);
   } catch (const orchestrator::CampaignStopped& e) {
@@ -924,8 +932,7 @@ struct CampaignService::ShardDispatch {
 void CampaignService::run_sharded(
     const CampaignRequest& request,
     const std::shared_ptr<const orchestrator::CompiledCampaign>& compiled,
-    const std::string& plan_cache_key, std::uint64_t id,
-    std::size_t shard_count, std::size_t expected_records,
+    std::uint64_t id, std::size_t shard_count, std::size_t expected_records,
     std::uint64_t root_span, const orchestrator::StopFn& should_stop,
     CampaignJournal* journal, std::ostream& out) {
   const std::vector<orchestrator::Campaign::JobGroup>& groups =
@@ -949,53 +956,34 @@ void CampaignService::run_sharded(
   std::vector<std::size_t> pending;  // group indices the workers must run
   for (std::size_t i = 0; i < groups.size(); ++i) {
     const ExperimentJob& root = groups[i].jobs.front();
+    const orchestrator::CacheKey key =
+        orchestrator::key_for_job(root, options_fp);
     std::optional<MeasurementRecord> hit;
     if (orchestrator::is_cacheable(root.kind)) {
-      hit = cache_.lookup(orchestrator::key_for_job(root, options_fp));
+      hit = cache_.lookup(key);
     }
     if (hit.has_value()) {
-      const orchestrator::CacheKey key =
-          orchestrator::key_for_job(root, options_fp);
       const std::string entry = orchestrator::format_store_entry(key, *hit);
       run.seen.insert(entry);
-      journal_append(journal, key);
-      out << "record " << entry << '\n';
-      ++run.streamed;
+      write_record(journal, key, entry, run.streamed, expected_records, out);
       ++warm_hits;
-      out << "progress " << run.streamed << "/" << expected_records << '\n';
     } else {
       pending.push_back(i);
     }
   }
-  out.flush();
 
   // Plan only the pending groups; plan indices are positions in `pending`,
   // mapped back to campaign group indices for the workers.
-  const std::size_t effective_shards =
-      std::max<std::size_t>(1, std::min(shard_count, pending.size()));
-  const auto plan_pending = [&] {
-    std::vector<orchestrator::Campaign::JobGroup> pending_groups;
-    pending_groups.reserve(pending.size());
-    for (const std::size_t index : pending) {
-      pending_groups.push_back(groups[index]);
-    }
-    return plan_shards(pending_groups, effective_shards).shard_groups;
-  };
-  // When the warm cache served nothing, `pending` is the full ascending
-  // group list — exactly the partition the PlanCache memoizes per shard
-  // count. Any warm hit shrinks the pending set, and the memo no longer
-  // applies; plan fresh.
-  std::shared_ptr<const std::vector<std::vector<std::size_t>>> memoized;
-  if (pending.size() == groups.size()) {
-    memoized =
-        plan_cache_.shard_partition(plan_cache_key, effective_shards,
-                                    plan_pending);
+  std::vector<orchestrator::Campaign::JobGroup> pending_groups;
+  pending_groups.reserve(pending.size());
+  for (const std::size_t index : pending) {
+    pending_groups.push_back(groups[index]);
   }
-  const std::vector<std::vector<std::size_t>> planned =
-      memoized == nullptr ? plan_pending()
-                          : std::vector<std::vector<std::size_t>>{};
-  const std::vector<std::vector<std::size_t>>& shard_groups =
-      memoized == nullptr ? planned : *memoized;
+  const std::vector<std::vector<std::size_t>> shard_groups =
+      plan_shards(pending_groups,
+                  std::max<std::size_t>(1, std::min(shard_count,
+                                                    pending.size())))
+          .shard_groups;
 
   // Shard work lists: campaign group indices per non-empty shard. Remote
   // workers and the local fleet run them through the same driver loop.
@@ -1116,9 +1104,7 @@ std::vector<CampaignService::ShardTask> CampaignService::drive_shards(
     std::size_t* completed) {
   // Shared work state, guarded by work_mutex: the undispatched work list
   // (a shard enters more than once only after its endpoint died), the
-  // campaign's retry budget, and each shard's settlement. partial_lines
-  // banks the entry lines every lost attempt managed to ship — they merge
-  // below even when no retry succeeds.
+  // campaign's retry budget, and each shard's settlement.
   struct Work {
     std::size_t task = 0;
     std::size_t attempt = 0;
@@ -1130,16 +1116,17 @@ std::vector<CampaignService::ShardTask> CampaignService::drive_shards(
   }
   std::vector<char> settled(tasks.size(), 0);
   std::vector<RemoteShardOutcome> outcomes(tasks.size());
-  std::vector<std::vector<std::string>> partial_lines(tasks.size());
 
   // All client writes (records, progress, shard events) synchronize on
-  // out_mutex; the dispatch's stream state is guarded by it too.
+  // out_mutex; the dispatch's stream state and the banks are guarded by it
+  // too. Each task's bank is a store buffer of the entry lines it streamed,
+  // whichever attempt shipped them; it is the only thing the shard merges.
   std::mutex out_mutex;
   std::ostream& out = run.out;
-  const auto stream_line = [&](const std::string& line) {
+  std::vector<std::string> banks(tasks.size());
+  const auto stream_line = [&](std::size_t task, const std::string& line) {
     // Stream each entry the moment its frame arrives — unless an earlier
-    // attempt of a retried shard already shipped it. The merge below
-    // re-validates everything through merge_buffer anyway.
+    // attempt of a retried shard (or another round) already shipped it.
     const auto parsed = orchestrator::parse_store_entry(line);
     if (!parsed.has_value()) {
       return;
@@ -1151,11 +1138,15 @@ std::vector<CampaignService::ShardTask> CampaignService::drive_shards(
     if (!run.seen.insert(line).second) {
       return;
     }
-    journal_append(run.journal, parsed->first);
-    out << "record " << line << '\n';
-    ++run.streamed;
-    out << "progress " << run.streamed << "/" << run.expected_records << '\n';
-    out.flush();
+    std::string& bank = banks[task];
+    if (bank.empty()) {
+      bank = orchestrator::store_header_line();
+      bank += '\n';
+    }
+    bank += line;
+    bank += '\n';
+    write_record(run.journal, parsed->first, line, run.streamed,
+                 run.expected_records, out);
   };
 
   // One driver per leased worker drains the work list. A driver whose
@@ -1209,7 +1200,9 @@ std::vector<CampaignService::ShardTask> CampaignService::drive_shards(
       graft.has_clock_offset = lease->clock_offset(&graft.clock_offset_ns);
       RemoteShardOutcome outcome = run_remote_shard(
           lease->in(), lease->out(), run.request, tasks[i].shard_index,
-          tasks[i].groups, stream_line, &profiler_, &graft);
+          tasks[i].groups,
+          [&](const std::string& line) { stream_line(i, line); }, &profiler_,
+          &graft);
       shard_span.close();
       if (!outcome.connection_lost) {
         // Done, or a clean shard-error over a healthy connection: the shard
@@ -1233,14 +1226,12 @@ std::vector<CampaignService::ShardTask> CampaignService::drive_shards(
         outcomes[i] = std::move(outcome);
         continue;
       }
-      // The endpoint died mid-conversation. Bank the lines that made it
-      // across, then spend one retry if the budget allows — otherwise the
-      // shard settles as lost.
+      // The endpoint died mid-conversation (its lines are already banked):
+      // spend one retry if the budget allows — otherwise the shard settles
+      // as lost.
       bool retrying = false;
       {
         std::lock_guard lock(work_mutex);
-        auto& bank = partial_lines[i];
-        bank.insert(bank.end(), outcome.lines.begin(), outcome.lines.end());
         if (run.retries < run.request.shard_retries) {
           ++run.retries;
           work.push_back({i, item.attempt + 1});
@@ -1298,30 +1289,17 @@ std::vector<CampaignService::ShardTask> CampaignService::drive_shards(
     }
   }
 
-  // Merge what each shard shipped. A completed shard's final `store` frame
-  // is authoritative (the worker's whole result store) and already covers any banked partial lines — merges are
-  // idempotent by CacheKey, identical keys carry bit-identical records.
-  // For everything else the banked partials merge (real measurements are
-  // never discarded) and the shard either returns unrun or reports a
-  // structured failure.
+  // Merge what each shard streamed — real measurements are never discarded,
+  // whatever the settlement — then classify it: completed, unrun (the
+  // caller decides what happens next), lost, or failed.
   std::vector<ShardTask> unrun;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const auto merge_lines = [&](const std::vector<std::string>& lines) {
-      if (lines.empty()) {
-        return;
-      }
-      std::string partial = orchestrator::store_header_line();
-      partial += '\n';
-      for (const std::string& line : lines) {
-        partial += line;
-        partial += '\n';
-      }
-      run.merged += cache_.merge_buffer(partial);
-    };
+    if (!banks[i].empty()) {
+      run.merged += cache_.merge_buffer(banks[i]);
+    }
     if (!settled[i]) {
       // Never dispatched, or still requeued when the drivers ran out (or
-      // the campaign was cancelled): the caller decides what happens next.
-      merge_lines(partial_lines[i]);
+      // the campaign was cancelled).
       unrun.push_back(tasks[i]);
       continue;
     }
@@ -1330,20 +1308,18 @@ std::vector<CampaignService::ShardTask> CampaignService::drive_shards(
       if (completed != nullptr) {
         ++*completed;
       }
-      run.merged += cache_.merge_buffer(outcome.store);
       continue;
     }
     if (outcome.connection_lost) {
       // Every attempt's endpoint died and the retry budget is spent. With
       // `lost_fails` that is a structured failure — never a hang; otherwise
       // the caller reruns the shard elsewhere (the `seen` set keeps its
-      // replayed records off the client stream).
-      merge_lines(partial_lines[i]);
+      // replayed records off the client stream and out of the next bank).
       if (lost_fails) {
         if (run.failure.empty()) {
           run.failure = "shard " + std::to_string(outcome.shard_index) +
-                     " failed (retry budget exhausted): " +
-                     one_line(outcome.error);
+                        " failed (retry budget exhausted): " +
+                        one_line(outcome.error);
         }
       } else {
         unrun.push_back(tasks[i]);
@@ -1352,10 +1328,8 @@ std::vector<CampaignService::ShardTask> CampaignService::drive_shards(
     }
     // The shard itself failed — a shard-error frame over a healthy
     // connection. A clean failure is deterministic, so rerunning it (on any
-    // transport) would only fail again with a worse diagnostic: merge what
-    // arrived and report the real error.
-    merge_lines(partial_lines[i]);
-    merge_lines(outcome.lines);
+    // transport) would only fail again with a worse diagnostic: report the
+    // real error.
     if (run.failure.empty()) {
       run.failure = "shard " + std::to_string(outcome.shard_index) +
                     " failed: " + one_line(outcome.error);

@@ -39,9 +39,9 @@ namespace ao::service {
 ///
 /// Requests with `shards > 1` are partitioned by the ShardPlanner and every
 /// shard runs over one transport: a `task` frame to a worker, `records`
-/// frames streamed back, closed by a `store` frame carrying the worker's
-/// full result store — no shared filesystem anywhere
-/// (docs/service.md#wire-format-frames). The workers are either
+/// frames streamed back, closed by a `store` frame carrying the count of
+/// lines streamed — no shared filesystem anywhere, and each record crosses
+/// the wire once (docs/service.md#wire-format-frames). The workers are either
 ///  - **remote** (preferred when any are connected, mandatory with
 ///    `remote_only`): `ao_worker --connect` processes — on this machine or
 ///    any other — that announced themselves with a `worker` hello and sit
@@ -49,9 +49,9 @@ namespace ao::service {
 ///  - **local**: a campaign-scoped fleet of `ao_worker --stdio-frames`
 ///    children (in-process threads without a worker binary), each on one
 ///    end of a socketpair and parked in a registry of its own.
-/// Either way the client observes records live, shards merge back into the
-/// warm cache conflict-free by CacheKey, and the merged result is
-/// bit-identical to a single-process run.
+/// Either way the client observes records live, exactly the streamed lines
+/// merge back into the warm cache conflict-free by CacheKey, and the merged
+/// result is bit-identical to a single-process run.
 ///
 /// Transport-agnostic: serve() speaks the protocol over any istream/ostream
 /// pair. `ao_campaignd` runs it over a unix socket; the tests run it over
@@ -182,9 +182,8 @@ class CampaignService {
 
   /// Both execution paths receive the campaign's compiled expansion (a
   /// PlanCache checkout made in run_campaign) instead of re-expanding the
-  /// request; run_sharded also gets the plan key so it can consult the
-  /// shard-partition memo.
-  /// `journal` (may be null) records every streamed CacheKey for `follow`.
+  /// request. `journal` (may be null) records every streamed CacheKey for
+  /// `follow`.
   void run_in_process(
       const CampaignRequest& request,
       const std::shared_ptr<const orchestrator::CompiledCampaign>& compiled,
@@ -194,13 +193,14 @@ class CampaignService {
   void run_sharded(
       const CampaignRequest& request,
       const std::shared_ptr<const orchestrator::CompiledCampaign>& compiled,
-      const std::string& plan_cache_key, std::uint64_t id,
-      std::size_t shard_count, std::size_t expected_records,
-      std::uint64_t root_span, const orchestrator::StopFn& should_stop,
-      CampaignJournal* journal, std::ostream& out);
+      std::uint64_t id, std::size_t shard_count,
+      std::size_t expected_records, std::uint64_t root_span,
+      const orchestrator::StopFn& should_stop, CampaignJournal* journal,
+      std::ostream& out);
   /// Runs `tasks` on the workers behind `leases` (one driver thread per
   /// lease draining a shared work queue), streaming records into `run` and
-  /// merging every shard's store into the warm cache. A shard whose
+  /// banking each first-seen line under its task; every task merges its
+  /// bank into the warm cache once, whatever its settlement. A shard whose
   /// endpoint dies mid-conversation is re-dispatched to a *different*
   /// worker of `registry` while the campaign's retry budget lasts;
   /// `run.seen` dedupes the entry lines a retry replays so the client never
@@ -248,6 +248,12 @@ class CampaignService {
                                                 const std::string& name);
   void journal_append(CampaignJournal* journal,
                       const orchestrator::CacheKey& key);
+  /// Streams one settled record: journal append, then its `record` and
+  /// `progress` lines. Every execution path writes records through here;
+  /// callers serialize access to `out` and `streamed`.
+  void write_record(CampaignJournal* journal, const orchestrator::CacheKey& key,
+                    const std::string& entry, std::size_t& streamed,
+                    std::size_t expected_records, std::ostream& out);
   /// Newest retained journal named `name`; nullptr when none survives.
   std::shared_ptr<CampaignJournal> find_journal(const std::string& name) const;
 

@@ -104,7 +104,8 @@ class RecordBatcher {
 
 /// Runs one task's shard, streams its records as batched frames, and closes
 /// with the shard's worker-side timeline (`spans` frame) followed by the
-/// authoritative `store` frame. Any exception propagates to the caller
+/// `store` frame, whose payload is the decimal count of entry lines the
+/// `records` frames carried. Any exception propagates to the caller
 /// (buffered records are flushed first), which ships whatever the profiler
 /// measured and a `shard-error` frame.
 void execute_task(const RemoteTask& task, std::ostream& out,
@@ -128,11 +129,9 @@ void execute_task(const RemoteTask& task, std::ostream& out,
                     compiled_here ? "miss" : "hit");
   }
 
-  // Capacity covers the whole shard so the final `store` frame —
-  // serialize_store() over the retained set — can never have evicted a
-  // record the daemon is owed.
-  orchestrator::ResultCache cache(std::max<std::size_t>(4096, queue.total()));
-  cache.set_profiler(&profiler);
+  // The cache only serves repeats within this shard; every record leaves
+  // through the batcher.
+  orchestrator::ResultCache cache;
   orchestrator::CampaignScheduler::Options scheduler_options;
   scheduler_options.concurrency = task.request.workers;
   orchestrator::CampaignScheduler scheduler(task.request.options(),
@@ -142,6 +141,7 @@ void execute_task(const RemoteTask& task, std::ostream& out,
       orchestrator::options_fingerprint(task.request.options());
 
   std::mutex out_mutex;  // scheduler workers stream concurrently
+  std::size_t sent = 0;  // guarded by out_mutex
   RecordBatcher batcher(out, writer, profiler, options.record_batch,
                         options.batch_flush_ns);
   try {
@@ -158,6 +158,7 @@ void execute_task(const RemoteTask& task, std::ostream& out,
       serialize.close();
       std::lock_guard lock(out_mutex);
       batcher.add(line);
+      ++sent;
     });
   } catch (...) {
     // Records settled before the failure are real measurements the daemon
@@ -167,14 +168,11 @@ void execute_task(const RemoteTask& task, std::ostream& out,
     throw;
   }
   batcher.flush();  // the partial final batch (workers are joined by now)
-  // The authoritative shard result: byte-for-byte what a local worker's
-  // write-through store file would hold after the same run.
-  const std::string store = cache.serialize_store();
-  // The timeline ships *before* the store so the daemon's shard
-  // conversation handles it inline — the store frame stays the settling
+  // The timeline ships *before* the count so the daemon's shard
+  // conversation handles it inline — the `store` frame stays the settling
   // frame, and peers that never send spans change nothing.
   writer.write(out, kFrameSpans, obs::encode_spans(origin, profiler.drain()));
-  writer.write(out, kFrameStore, store);
+  writer.write(out, kFrameStore, std::to_string(sent));
 }
 
 }  // namespace
@@ -368,7 +366,6 @@ RemoteShardOutcome run_remote_shard(
         if (line.empty()) {
           continue;
         }
-        outcome.lines.push_back(line);
         ++outcome.records;
         if (on_record) {
           on_record(line);
@@ -383,19 +380,28 @@ RemoteShardOutcome run_remote_shard(
           obs::decode_spans(frame->payload, &payload_origin, &decode_error);
       if (decoded.has_value()) {
         // Grafted when the settling frame arrives — a worker that dies
-        // between its spans and its store leaves a rescheduled shard, and
+        // between its spans and its count leaves a rescheduled shard, and
         // the retry attempt's timeline replaces this one.
         pending_spans = std::move(*decoded);
       }
       // A payload that fails to decode is version-skewed telemetry: drop
       // the spans, never the shard.
     } else if (frame->type == kFrameStore) {
-      outcome.store = frame->payload;
-      // The store frame is authoritative; the incrementally collected lines
-      // were only the died-before-store fallback. Dropping them halves the
-      // per-shard memory held until the merge.
-      outcome.lines.clear();
-      outcome.lines.shrink_to_fit();
+      // The settling frame announces how many entry lines the `records`
+      // frames carried. A mismatch means lines went missing (or a worker
+      // from another build sent a different payload): retire the endpoint
+      // and retry the shard elsewhere, exactly like a truncated frame.
+      std::uint64_t announced = 0;
+      const bool counted = parse_u64_token(frame->payload, announced);
+      if (!counted || announced != outcome.records) {
+        outcome.connection_lost = true;
+        outcome.error =
+            "worker announced " +
+            (counted ? std::to_string(announced) + " entries"
+                     : std::string("a malformed entry count")) +
+            " but streamed " + std::to_string(outcome.records);
+        return outcome;
+      }
       outcome.ok = true;
       settle_graft();
       return outcome;

@@ -64,9 +64,9 @@ struct WorkerSessionOptions {
 /// records per frame, bounded by the flush deadline), closed by a
 /// `spans` frame carrying the shard's worker-side timeline (execute/
 /// serialize/frame spans, ao-profile/1 payload) and a `store` frame
-/// carrying the shard's full serialized result store (or a `shard-error`
-/// frame after the spans; the worker stays alive for the next task either
-/// way). `ping` frames (the registry's liveness probes) are answered with
+/// carrying the decimal count of entry lines the `records` frames held (or
+/// a `shard-error` frame after the spans; the worker stays alive for the
+/// next task either way). `ping` frames (the registry's liveness probes) are answered with
 /// `pong` carrying this worker's current clock reading — the daemon pairs
 /// it with the ping round-trip to estimate the clock offset that aligns
 /// shipped spans. Returns the process exit code: 0 after a `bye` frame or
@@ -83,11 +83,7 @@ struct RemoteShardOutcome {
   /// false for a shard that failed cleanly over a healthy connection.
   bool connection_lost = false;
   std::string error;
-  std::size_t records = 0;  ///< entry lines received incrementally
-  std::string store;        ///< the final `store` frame payload ("" if lost)
-  /// Every entry line received via `records` frames — the partial-merge
-  /// fallback when the worker died before its `store` frame.
-  std::vector<std::string> lines;
+  std::size_t records = 0;  ///< entry lines received (each went to on_record)
   /// Worker-origin spans grafted onto the daemon profiler (0 when the
   /// worker shipped none or no profiler was attached).
   std::size_t worker_spans = 0;
@@ -107,9 +103,11 @@ struct ShardGraft {
 };
 
 /// Runs one shard on a checked-out remote worker: writes the `task` frame,
-/// forwards each incoming entry line to `on_record` (live streaming), and
-/// returns when the worker's `store` / `shard-error` frame arrives or the
-/// connection dies. Blocking; the caller owns the streams exclusively.
+/// forwards each incoming entry line to `on_record` (the only place lines
+/// go), and returns when the worker's `store` / `shard-error` frame arrives
+/// or the connection dies. A `store` count that does not parse or differs
+/// from the lines received counts as a lost connection, like a truncated
+/// frame. Blocking; the caller owns the streams exclusively.
 ///
 /// With `profiler` set the whole conversation records a `transport` span
 /// (inheriting the calling thread's open scope — the driver's shard span),

@@ -1,8 +1,8 @@
 // ao_worker: runs shards of service campaigns in its own process, speaking
 // the worker frame protocol (docs/service.md#wire-format-frames) — a
 // `worker` hello, then `task` frames in, batched `records` frames, a
-// `spans` frame and a `store` frame out per shard, until the daemon says
-// bye. Two transports:
+// `spans` frame and a `store` frame (the count of entry lines sent) out per
+// shard, until the daemon says bye. Two transports:
 //
 //   ao_worker --connect <endpoint> [--name <id>]
 //     Remote mode: connect to a campaign daemon — a unix socket path, or

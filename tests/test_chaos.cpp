@@ -4,7 +4,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -38,8 +37,9 @@
 #include "service/worker_registry.hpp"
 
 // Deterministic chaos suite: an in-process daemon plus scripted frame
-// workers whose connections die at scripted points of the conversation —
-// after hello, mid-records, mid-store-frame — proving the resilience
+// workers whose connections die (or lie) at scripted points of the
+// conversation — mid-records, mid-store-frame, a miscounted store frame —
+// proving the resilience
 // layer end to end: heartbeat retirement, failure-domain rescheduling
 // under a retry budget, deadline/abort cancellation, and bounded
 // backpressure. Every synchronization is an event (promise/future,
@@ -146,39 +146,34 @@ std::map<std::uint64_t, std::string> entries_by_key(
 
 /// Where a scripted worker kills its connection.
 enum class KillPoint {
-  kMidRecords,     ///< streams half its records frames, then the socket dies
-  kMidStoreFrame,  ///< streams every record, dies halfway through `store`
+  kMidRecords,       ///< streams half its records frames, then the socket dies
+  kMidStoreFrame,    ///< streams every record, dies halfway through `store`
+  kMiscountedStore,  ///< streams every record, announces one more, dies
 };
 
-struct ShardResult {
-  std::vector<std::string> lines;  ///< store entry lines, settle order
-  std::string store;               ///< serialize_store() over the shard
-};
-
-/// Computes a task's records and store exactly like ao_worker does, so the
-/// scripted deaths below interrupt byte-identical genuine traffic — and the
-/// retried shard reproduces the exact same entry lines, which is what the
-/// daemon's replay dedup is up against.
-ShardResult run_task_locally(const RemoteTask& task) {
+/// Computes a task's entry lines (settle order) exactly like ao_worker
+/// does, so the scripted deaths below interrupt byte-identical genuine
+/// traffic — and the retried shard reproduces the exact same entry lines,
+/// which is what the daemon's replay dedup is up against.
+std::vector<std::string> run_task_locally(const RemoteTask& task) {
   orchestrator::JobQueue queue;
   orchestrator::push_group_subset(queue, task.request.to_campaign().groups(),
                                   task.groups);
-  orchestrator::ResultCache cache(std::max<std::size_t>(4096, queue.total()));
+  orchestrator::ResultCache cache;
   orchestrator::CampaignScheduler::Options options;
   options.concurrency = 1;
   orchestrator::CampaignScheduler scheduler(task.request.options(), options,
                                             &cache);
   const std::uint64_t fp =
       orchestrator::options_fingerprint(task.request.options());
-  ShardResult result;
+  std::vector<std::string> lines;
   scheduler.run(queue, [&](const orchestrator::ExperimentJob& job,
                            const orchestrator::MeasurementRecord& record,
                            bool /*from_cache*/) {
-    result.lines.push_back(orchestrator::format_store_entry(
+    lines.push_back(orchestrator::format_store_entry(
         orchestrator::key_for_job(job, fp), record));
   });
-  result.store = cache.serialize_store();
-  return result;
+  return lines;
 }
 
 /// A worker that dies at a scripted point of its first task, then fulfils
@@ -209,20 +204,28 @@ void run_doomed_worker(int fd, const std::string& name, KillPoint kill,
         if (!task.has_value()) {
           break;
         }
-        const ShardResult result = run_task_locally(*task);
+        const std::vector<std::string> lines = run_task_locally(*task);
         if (kill == KillPoint::kMidRecords) {
-          for (std::size_t i = 0; i < result.lines.size() / 2; ++i) {
-            write_frame(stream, {kFrameRecords, result.lines[i]});
+          for (std::size_t i = 0; i < lines.size() / 2; ++i) {
+            write_frame(stream, {kFrameRecords, lines[i]});
           }
         } else {
-          for (const auto& line : result.lines) {
+          for (const auto& line : lines) {
             write_frame(stream, {kFrameRecords, line});
           }
-          // Half a store frame: the daemon reads `frame-truncated` and must
-          // retire the endpoint, not trust the partial payload.
-          const std::string encoded = encode_frame({kFrameStore, result.store});
-          stream.write(encoded.data(),
-                       static_cast<std::streamsize>(encoded.size() / 2));
+          const std::string count = std::to_string(lines.size());
+          if (kill == KillPoint::kMidStoreFrame) {
+            // Half a store frame: the daemon reads `frame-truncated` and
+            // must retire the endpoint, not trust the partial payload.
+            const std::string encoded = encode_frame({kFrameStore, count});
+            stream.write(encoded.data(),
+                         static_cast<std::streamsize>(encoded.size() / 2));
+          } else {
+            // A whole, well-formed frame announcing one entry more than
+            // the records frames carried.
+            write_frame(stream,
+                        {kFrameStore, std::to_string(lines.size() + 1)});
+          }
         }
         stream.flush();
         ::shutdown(fd, SHUT_RDWR);
@@ -270,11 +273,11 @@ void run_healthy_worker(int fd, const std::string& name,
       gate.wait_for(std::chrono::seconds(20));
     }
     first_task = false;
-    const ShardResult result = run_task_locally(*task);
-    for (const auto& line : result.lines) {
+    const std::vector<std::string> lines = run_task_locally(*task);
+    for (const auto& line : lines) {
       write_frame(stream, {kFrameRecords, line});
     }
-    write_frame(stream, {kFrameStore, result.store});
+    write_frame(stream, {kFrameStore, std::to_string(lines.size())});
   }
 }
 
@@ -368,8 +371,8 @@ TEST(Chaos, WorkerDyingMidRecordsIsRescheduledWithoutDuplicates) {
 }
 
 // A worker endpoint dies inside the store frame itself — after every record
-// was streamed. The truncated store must be discarded (never half-merged),
-// the shard retried, and the final merge still bit-identical.
+// was streamed. The truncated count must not settle the shard: the shard is
+// retried, and the final merge is still bit-identical.
 TEST(Chaos, WorkerDyingMidStoreFrameYieldsABitIdenticalMerge) {
   std::signal(SIGPIPE, SIG_IGN);
   const auto dir = temp_dir("midstore");
@@ -400,6 +403,73 @@ TEST(Chaos, WorkerDyingMidStoreFrameYieldsABitIdenticalMerge) {
   ASSERT_EQ(chaos_entries.size(), 20u);
   EXPECT_EQ(chaos_entries, entries_by_key(single.cache()));
   std::filesystem::remove_all(dir);
+}
+
+// A worker streams every record and then announces one entry more than it
+// sent. The count is the daemon's only check that no line went missing, so
+// a mismatch is a protocol fault: the endpoint is retired, the shard retried
+// on the other worker, and the merge still covers exactly the 20 streamed
+// records.
+TEST(Chaos, MiscountedStoreFrameIsRescheduledAndMergesBitIdentical) {
+  std::signal(SIGPIPE, SIG_IGN);
+  CampaignService::Config config;
+  config.remote_only = true;
+  config.remote_wait_ms = 20000;
+  CampaignService service(std::move(config));
+  ChaosFleet fleet(service, KillPoint::kMiscountedStore);
+  ASSERT_TRUE(wait_until([&] { return service.workers().idle_count() == 2; }));
+
+  const auto lines = serve_lines(service, nine_kind_block(2, 2));
+  ASSERT_TRUE(starts_with(lines.back(), "done campaign ")) << lines.back();
+  EXPECT_NE(lines.back().find(" records 20 merged 20 hits 0 shards 2 remote 2"),
+            std::string::npos)
+      << lines.back();
+  EXPECT_EQ(count_prefixed(lines, "record "), 20u);
+  EXPECT_TRUE(any_line_contains(lines, " lost worker doomed rescheduling"));
+  EXPECT_TRUE(any_line_contains(lines, " retry worker healthy"));
+
+  serve_lines(service, "shutdown\n");
+  fleet.join();
+
+  CampaignService single({});
+  const auto single_lines = serve_lines(single, nine_kind_block(2, 1));
+  ASSERT_TRUE(starts_with(single_lines.back(), "done campaign "));
+  auto chaos_entries = entries_by_key(service.cache());
+  ASSERT_EQ(chaos_entries.size(), 20u);
+  EXPECT_EQ(chaos_entries, entries_by_key(single.cache()));
+}
+
+// A remote worker dies mid-records with no retry budget, so the shard falls
+// back to the local fleet. The lines the dead attempt streamed and the
+// rerun's new lines each merge once: `merged` equals the records the
+// workers delivered (records minus warm hits), never more.
+TEST(Chaos, LocalFallbackAfterALostWorkerMergesEachRecordOnce) {
+  std::signal(SIGPIPE, SIG_IGN);
+  CampaignService service({});  // not remote-only: a lost shard runs locally
+  ChaosFleet fleet(service, KillPoint::kMidRecords);
+  ASSERT_TRUE(wait_until([&] { return service.workers().idle_count() == 2; }));
+
+  const auto lines = serve_lines(
+      service, with_directive(nine_kind_block(2, 2), "retries 0"));
+  ASSERT_TRUE(starts_with(lines.back(), "done campaign ")) << lines.back();
+  EXPECT_NE(lines.back().find(" records 20 merged 20 hits 0 shards 2 remote 1"),
+            std::string::npos)
+      << lines.back();
+  EXPECT_EQ(count_prefixed(lines, "record "), 20u);
+  EXPECT_TRUE(
+      any_line_contains(lines, " lost worker doomed retry-budget-exhausted"));
+  EXPECT_TRUE(any_line_contains(lines, " start worker local"));
+
+  const auto stat_lines = serve_lines(service, "metrics\nshutdown\n");
+  EXPECT_TRUE(any_line_contains(stat_lines, "ao_merged_entries_total 20"));
+  fleet.join();
+
+  CampaignService single({});
+  const auto single_lines = serve_lines(single, nine_kind_block(2, 1));
+  ASSERT_TRUE(starts_with(single_lines.back(), "done campaign "));
+  auto chaos_entries = entries_by_key(service.cache());
+  ASSERT_EQ(chaos_entries.size(), 20u);
+  EXPECT_EQ(chaos_entries, entries_by_key(single.cache()));
 }
 
 // The ISSUE's acceptance criterion: killing a worker under --remote-only

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -625,6 +626,29 @@ TEST(Campaign, ExpansionBuildsVerifyEdgesAndHonorsSkips) {
   for (const auto& job : first_wave) {
     EXPECT_EQ(job.kind, JobKind::kGemmMeasure);
   }
+}
+
+// GEMM priority is the matrix size, saturated at INT_MAX: a size past the
+// int range must still outrank the small points, never wrap negative (the
+// queue orders on -priority, which INT_MIN would overflow).
+TEST(Campaign, HugeSizePrioritySaturatesAndStillRanksFirst) {
+  Campaign campaign;
+  campaign.chips({soc::ChipModel::kM1})
+      .impls({soc::GemmImpl::kGpuMps})
+      .sizes({std::size_t{2147483648}, 32});
+  std::map<std::size_t, int> priority;
+  for (const auto& group : campaign.groups()) {
+    priority[group.jobs.front().n] = group.jobs.front().priority;
+  }
+  ASSERT_EQ(priority.size(), 2u);
+  EXPECT_EQ(priority[2147483648], std::numeric_limits<int>::max());
+  EXPECT_EQ(priority[32], 32);
+
+  JobQueue queue;
+  push_groups(queue, campaign.groups());
+  const auto first = queue.try_pop_ready();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->n, std::size_t{2147483648});
 }
 
 TEST(Campaign, BatchedOperandsAreAllocatedOncePerSize) {
@@ -1332,36 +1356,6 @@ TEST(PlanCache, LruBoundEvictsTheColdestEntryOnly) {
   EXPECT_EQ(cache.size(), 2u);
   // Capacity is clamped to at least one retained entry.
   EXPECT_GE(PlanCache(0).capacity(), 1u);
-}
-
-TEST(PlanCache, ShardPartitionMemoizesPerShardCountAndNeedsResidency) {
-  PlanCache cache(2);
-  int plans = 0;
-  const auto plan = [&] {
-    ++plans;
-    return std::vector<std::vector<std::size_t>>{{0, 2}, {1}};
-  };
-  // A key that was never checked out has nothing to remember the partition
-  // on: the memo must not resurrect (or invent) cache entries.
-  EXPECT_EQ(cache.shard_partition("ghost", 2, plan), nullptr);
-  EXPECT_EQ(plans, 0);
-
-  cache.checkout("k", [] { return CompiledCampaign{}; });
-  const auto first = cache.shard_partition("k", 2, plan);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(plans, 1);
-  EXPECT_EQ(first->size(), 2u);
-  const auto second = cache.shard_partition("k", 2, plan);
-  EXPECT_EQ(second.get(), first.get());
-  EXPECT_EQ(plans, 1);
-  // Each shard count is its own memo — a resharded rerun replans once.
-  const auto three = cache.shard_partition("k", 3, plan);
-  ASSERT_NE(three, nullptr);
-  EXPECT_EQ(plans, 2);
-
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.shard_partition("k", 2, plan), nullptr);
 }
 
 // serialize_store() promises one allocation: the reserve driven by

@@ -485,7 +485,7 @@ TEST(CampaignService, RepeatedShardedCampaignIsServedFromTheWarmCache) {
 // The tentpole acceptance criterion: two remote workers connected over
 // real byte streams (socketpairs — the same FdStreamBuf transport the
 // daemon's sockets use), a sharded campaign whose shards travel as frames,
-// result stores shipped back over the connection — and a merged warm cache
+// records streamed back over the connection — and a merged warm cache
 // bit-identical to the single-process run, with NO shard file ever touching
 // the shared filesystem.
 TEST(CampaignService, RemoteWorkersRunShardsOverSocketsBitIdentical) {
@@ -1843,14 +1843,13 @@ TEST(WorkerSession, RecordsCoalesceUpToTheBatchBound) {
   ASSERT_EQ(streamed.size(), 6u);
 
   // The conversation still closes with spans (carrying the flush spans)
-  // and the authoritative store, which merges to exactly those entries.
+  // and the store frame, which announces exactly the lines streamed.
   ASSERT_GE(frames.size(), 4u);
   EXPECT_EQ(frames[frames.size() - 2].type, kFrameSpans);
   EXPECT_NE(frames[frames.size() - 2].payload.find("flush"),
             std::string::npos);
   EXPECT_EQ(frames.back().type, kFrameStore);
-  orchestrator::ResultCache merged;
-  EXPECT_EQ(merged.merge_buffer(frames.back().payload), 6u);
+  EXPECT_EQ(frames.back().payload, "6");
 
   // An unbounded batch coalesces the whole shard into one frame; the wire
   // bytes are the same lines in the same order, just split differently.
