@@ -10,13 +10,16 @@ namespace ao::amx {
 ///
 /// Computes C = alpha * A * B + beta * C over row-major matrices with leading
 /// dimensions lda/ldb/ldc. Internally:
-///   1. packs A panels column-major (so a 16-float A column segment loads
-///      straight into an X register) and B panels row-major;
-///   2. walks 16 x 16 C tiles, accumulating k in Z via fma32;
-///   3. parallelizes across C tile rows, one AmxUnit per worker thread
-///      (each P-core owns AMX access in flight).
-///
-/// `threads` <= 0 selects the host's hardware concurrency.
+///   1. walks 16 x 16 C tiles, packing nothing: for each k it loads the B
+///      row segment b[k][j0..j0+16) into X and gathers the A column segment
+///      a[i0..i0+16)[k] into Y (both zero-padded at the edge), then
+///      accumulates the outer product in Z via fma32;
+///   2. drains Z into C with alpha/beta;
+///   3. splits the work across single tiles: `threads` == 1 (or a single
+///      tile) runs them in order on one AmxUnit; any other `threads` value,
+///      0 and negatives included, runs them on the shared
+///      util::global_pool() at the pool's own width, one thread_local
+///      AmxUnit per worker (each P-core owns AMX access in flight).
 void amx_sgemm(std::size_t m, std::size_t n, std::size_t k, float alpha,
                const float* a, std::size_t lda, const float* b, std::size_t ldb,
                float beta, float* c, std::size_t ldc, int threads = 0);

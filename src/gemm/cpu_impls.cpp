@@ -3,19 +3,30 @@
 #include <algorithm>
 
 #include "accelerate/cblas.hpp"
-#include "util/aligned_buffer.hpp"
-#include "util/error.hpp"
 
 namespace ao::gemm {
 namespace {
 
-void validate(std::size_t n, std::size_t memory_length, const float* left,
-              const float* right, const float* out) {
-  AO_REQUIRE(n > 0, "matrix size must be positive");
-  AO_REQUIRE(left != nullptr && right != nullptr && out != nullptr,
-             "matrix pointers must not be null");
-  AO_REQUIRE(memory_length >= util::matrix_bytes(n, sizeof(float)),
-             "memory_length smaller than the matrix");
+/// Rows of C per OpenMP work item of CPU-OMP.
+constexpr std::size_t kBlock = 64;
+
+/// Computes rows [i0, i1) of C = A * B: each row starts at 0.0f and adds
+/// a[i,k] * b[k,:] in ascending k over B's full width (i-k-j order). Kept
+/// out of line so CPU-Single and every CPU-OMP thread run one compiled loop.
+[[gnu::noinline]] void multiply_rows(std::size_t n, const float* left,
+                                     const float* right, float* out,
+                                     std::size_t i0, std::size_t i1) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    float* c_row = out + i * n;
+    std::fill(c_row, c_row + n, 0.0f);
+    for (std::size_t k = 0; k < n; ++k) {
+      const float a_ik = left[i * n + k];
+      const float* b_row = right + k * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        c_row[j] += a_ik * b_row[j];
+      }
+    }
+  }
 }
 
 /// Charges the modeled cost of one multiplication to the SoC.
@@ -33,23 +44,14 @@ CpuSingleGemm::CpuSingleGemm(GemmContext& context)
 void CpuSingleGemm::multiply(std::size_t n, std::size_t memory_length,
                              const float* left, const float* right, float* out,
                              bool functional) {
-  validate(n, memory_length, left, right, out);
+  validate_operands(n, memory_length, left, right, out);
   if (functional) {
     // The paper's baseline: standard algorithm, triple nested loop. The
-    // inner loop walks B by rows to stay bit-faithful to the classic i-j-k
-    // ordering would stride; we keep i-k-j so the functional run does not
-    // dominate the harness while remaining a naive single-threaded loop.
-    for (std::size_t i = 0; i < n; ++i) {
-      float* c_row = out + i * n;
-      std::fill(c_row, c_row + n, 0.0f);
-      for (std::size_t k = 0; k < n; ++k) {
-        const float a_ik = left[i * n + k];
-        const float* b_row = right + k * n;
-        for (std::size_t j = 0; j < n; ++j) {
-          c_row[j] += a_ik * b_row[j];
-        }
-      }
-    }
+    // classic i-j-k order would stride down B's columns; i-k-j walks B by
+    // rows with the same per-element summation order, so the functional run
+    // does not dominate the harness while remaining a naive single-threaded
+    // loop.
+    multiply_rows(n, left, right, out, 0, n);
   }
   charge(*ctx_, perf_, kind(), n, soc::ComputeUnit::kCpuPCluster);
 }
@@ -60,30 +62,16 @@ CpuOmpGemm::CpuOmpGemm(GemmContext& context)
 void CpuOmpGemm::multiply(std::size_t n, std::size_t memory_length,
                           const float* left, const float* right, float* out,
                           bool functional) {
-  validate(n, memory_length, left, right, out);
+  validate_operands(n, memory_length, left, right, out);
   if (functional) {
-    const std::size_t blocks = (n + kBlock - 1) / kBlock;
-    const auto total = static_cast<long long>(blocks * blocks);
+    // One kBlock-row panel of C per iteration, each row over B's full width:
+    // a narrower column strip of B would put its rows n floats apart, which
+    // at power-of-two n alias into a few cache sets.
+    const auto panels = static_cast<long long>((n + kBlock - 1) / kBlock);
 #pragma omp parallel for schedule(static)
-    for (long long t = 0; t < total; ++t) {
-      const std::size_t bi = static_cast<std::size_t>(t) / blocks;
-      const std::size_t bj = static_cast<std::size_t>(t) % blocks;
-      const std::size_t i1 = std::min((bi + 1) * kBlock, n);
-      const std::size_t j0 = bj * kBlock;
-      const std::size_t j1 = std::min(j0 + kBlock, n);
-      for (std::size_t i = bi * kBlock; i < i1; ++i) {
-        float* c_row = out + i * n;
-        for (std::size_t j = j0; j < j1; ++j) {
-          c_row[j] = 0.0f;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const float a_ik = left[i * n + k];
-          const float* b_row = right + k * n;
-          for (std::size_t j = j0; j < j1; ++j) {
-            c_row[j] += a_ik * b_row[j];
-          }
-        }
-      }
+    for (long long p = 0; p < panels; ++p) {
+      const std::size_t i0 = static_cast<std::size_t>(p) * kBlock;
+      multiply_rows(n, left, right, out, i0, std::min(i0 + kBlock, n));
     }
   }
   charge(*ctx_, perf_, kind(), n, soc::ComputeUnit::kCpuPCluster);
@@ -95,7 +83,7 @@ CpuAccelerateGemm::CpuAccelerateGemm(GemmContext& context)
 void CpuAccelerateGemm::multiply(std::size_t n, std::size_t memory_length,
                                  const float* left, const float* right,
                                  float* out, bool functional) {
-  validate(n, memory_length, left, right, out);
+  validate_operands(n, memory_length, left, right, out);
   if (functional) {
     // Listing 1, verbatim semantics:
     // cblas_sgemm(CblasRowMajor, NoTrans, NoTrans, n,n,n, 1, A,n, B,n, 0, C,n)

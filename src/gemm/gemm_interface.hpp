@@ -44,6 +44,13 @@ class IGemm {
                         bool functional = true) = 0;
 };
 
+/// The operand check every multiply() runs first: n > 0, no null matrix and
+/// `memory_length` covering an n x n FP32 matrix. Throws
+/// util::InvalidArgument otherwise.
+void validate_operands(std::size_t n, std::size_t memory_length,
+                       const float* left, const float* right,
+                       const float* out);
+
 /// Builds the implementation for `impl` over `context`.
 std::unique_ptr<IGemm> create_gemm(soc::GemmImpl impl, GemmContext& context);
 

@@ -1,9 +1,20 @@
 #include "gemm/cpu_impls.hpp"
 #include "gemm/gemm_interface.hpp"
 #include "gemm/gpu_impls.hpp"
+#include "util/aligned_buffer.hpp"
 #include "util/error.hpp"
 
 namespace ao::gemm {
+
+void validate_operands(std::size_t n, std::size_t memory_length,
+                       const float* left, const float* right,
+                       const float* out) {
+  AO_REQUIRE(n > 0, "matrix size must be positive");
+  AO_REQUIRE(left != nullptr && right != nullptr && out != nullptr,
+             "matrix pointers must not be null");
+  AO_REQUIRE(memory_length >= util::matrix_bytes(n, sizeof(float)),
+             "memory_length smaller than the matrix");
+}
 
 std::unique_ptr<IGemm> create_gemm(soc::GemmImpl impl, GemmContext& context) {
   switch (impl) {

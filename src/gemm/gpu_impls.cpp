@@ -3,20 +3,9 @@
 #include "metal/compute_command_encoder.hpp"
 #include "mps/mps_gemm.hpp"
 #include "shaders/gemm_shaders.hpp"
-#include "util/aligned_buffer.hpp"
-#include "util/error.hpp"
 
 namespace ao::gemm {
 namespace {
-
-void validate(std::size_t n, std::size_t memory_length, const float* left,
-              const float* right, const float* out) {
-  AO_REQUIRE(n > 0, "matrix size must be positive");
-  AO_REQUIRE(left != nullptr && right != nullptr && out != nullptr,
-             "matrix pointers must not be null");
-  AO_REQUIRE(memory_length >= util::matrix_bytes(n, sizeof(float)),
-             "memory_length smaller than the matrix");
-}
 
 /// Wraps the three page-aligned matrices in no-copy shared buffers — the
 /// paper's zero-copy path ("an MTL-shared no-copy buffer is made to wrap
@@ -53,7 +42,7 @@ GpuNaiveGemm::GpuNaiveGemm(GemmContext& context)
 void GpuNaiveGemm::multiply(std::size_t n, std::size_t memory_length,
                             const float* left, const float* right, float* out,
                             bool functional) {
-  validate(n, memory_length, left, right, out);
+  validate_operands(n, memory_length, left, right, out);
   auto wrapped = wrap(ctx_->device, memory_length, left, right, out);
 
   auto cmd = ctx_->queue->command_buffer();
@@ -80,7 +69,7 @@ GpuTiledGemm::GpuTiledGemm(GemmContext& context)
 void GpuTiledGemm::multiply(std::size_t n, std::size_t memory_length,
                             const float* left, const float* right, float* out,
                             bool functional) {
-  validate(n, memory_length, left, right, out);
+  validate_operands(n, memory_length, left, right, out);
   auto wrapped = wrap(ctx_->device, memory_length, left, right, out);
 
   const std::uint32_t tile = shaders::kGemmTile;
@@ -109,7 +98,7 @@ GpuMpsGemm::GpuMpsGemm(GemmContext& context) : ctx_(&context) {}
 void GpuMpsGemm::multiply(std::size_t n, std::size_t memory_length,
                           const float* left, const float* right, float* out,
                           bool functional) {
-  validate(n, memory_length, left, right, out);
+  validate_operands(n, memory_length, left, right, out);
   auto wrapped = wrap(ctx_->device, memory_length, left, right, out);
 
   const auto desc = mps::MatrixDescriptor::with_rows(

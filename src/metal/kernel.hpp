@@ -43,8 +43,8 @@ using ThreadKernelFn =
     std::function<void(const ArgumentTable&, const ThreadContext&)>;
 
 /// Per-threadgroup kernel body: the GEMM shaders, which compute a whole
-/// threadgroup's tile of C at once (the tiled one with threadgroup memory
-/// and barrier phases). See GroupContext for the execution contract.
+/// threadgroup's tile of C at once. See GroupContext for the execution
+/// contract.
 using GroupKernelFn =
     std::function<void(const ArgumentTable&, const GroupContext&)>;
 

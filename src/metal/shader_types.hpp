@@ -33,13 +33,12 @@ struct ThreadContext {
 
 /// Per-threadgroup coordinates handed to a GroupKernel.
 ///
-/// The host-side simulator executes one threadgroup per worker task. Kernels
-/// that need `threadgroup` shared memory and barrier phases (the Cutlass-
-/// style tiled GEMM) are authored at threadgroup granularity: the kernel body
-/// loops over the group's threads in explicit phases, each phase boundary
-/// corresponding to a threadgroup_barrier(mem_flags::mem_threadgroup) in the
-/// original MSL. This preserves the algorithm's structure and its shared-
-/// memory blocking while staying executable on host threads.
+/// The host-side simulator executes one threadgroup per worker task. A
+/// kernel authored at threadgroup granularity sees the whole group at once:
+/// it may loop over the group's threads in explicit phases, each phase
+/// boundary corresponding to a threadgroup_barrier(mem_flags::mem_threadgroup)
+/// in the original MSL, or compute the group's output in one pass, as the
+/// GEMM shaders do.
 struct GroupContext {
   UInt3 threadgroup_position_in_grid;
   UInt3 threads_per_threadgroup;

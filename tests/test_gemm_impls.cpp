@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "accelerate/reference_blas.hpp"
 #include "core/system.hpp"
@@ -144,6 +149,34 @@ TEST(GemmRegistry, GpuImplsWrapZeroCopy) {
   }
   EXPECT_GT(sum, 0.0);
 }
+
+#ifdef _OPENMP
+TEST(GemmRegistry, CpuOmpIsBitIdenticalAcrossTeamSizes) {
+  // Which thread owns which rows of C depends on the team size; no element's
+  // summation order may. n = 257 leaves a one-row edge panel.
+  core::System system(soc::ChipModel::kM2);
+  auto impl = create_gemm(soc::GemmImpl::kCpuOmp, system.gemm_context());
+  const std::size_t n = 257;
+  harness::MatrixSet matrices(n, true, 257);
+  const int saved = omp_get_max_threads();
+  std::vector<float> first;
+  for (int team = 1; team <= 4; ++team) {
+    omp_set_num_threads(team);
+    matrices.clear_out();
+    impl->multiply(n, matrices.memory_length(), matrices.left(),
+                   matrices.right(), matrices.out(), true);
+    if (first.empty()) {
+      first.assign(matrices.out(), matrices.out() + n * n);
+    } else {
+      EXPECT_EQ(std::memcmp(first.data(), matrices.out(),
+                            n * n * sizeof(float)),
+                0)
+          << "team size " << team;
+    }
+  }
+  omp_set_num_threads(saved);
+}
+#endif
 
 }  // namespace
 }  // namespace ao::gemm
