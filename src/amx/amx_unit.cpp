@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "simd/neon.hpp"
 #include "util/error.hpp"
 
 namespace ao::amx {
@@ -62,15 +63,23 @@ void AmxUnit::fma32(std::size_t x_reg, std::size_t y_reg, std::size_t z_offset,
   AO_REQUIRE(y_reg < kYRegs, "Y register index out of range");
   AO_REQUIRE(z_offset < 4, "fp32 Z offset must be 0..3");
 
-  const auto* x = reinterpret_cast<const float*>(x_.data() + x_reg * kRegBytes);
-  const auto* y = reinterpret_cast<const float*>(y_.data() + y_reg * kRegBytes);
+  // Copy the operands out of the byte register file first: Z may alias X and
+  // Y through it, which otherwise keeps the compiler on scalar code. Each Z
+  // row is then four 4-lane vectors; multiply and add stay separate (no
+  // fused multiply-add), so every lane rounds exactly as z + x * y.
+  float x[kLanesF32] = {};
+  float y[kLanesF32] = {};
+  std::memcpy(x, x_.data() + x_reg * kRegBytes, kRegBytes);
+  std::memcpy(y, y_.data() + y_reg * kRegBytes, kRegBytes);
   for (std::size_t j = 0; j < kLanesF32; ++j) {
     auto* z_row =
         reinterpret_cast<float*>(z_.data() + (j * 4 + z_offset) * kRegBytes);
-    const float yj = y[j];
-    for (std::size_t i = 0; i < kLanesF32; ++i) {
-      const float prod = x[i] * yj;
-      z_row[i] = accumulate ? z_row[i] + prod : prod;
+    for (std::size_t i = 0; i < kLanesF32; i += simd::kNeonLanesF32) {
+      simd::float32x4_t v = simd::vmulq_n_f32(simd::vld1q_f32(x + i), y[j]);
+      if (accumulate) {
+        v = simd::vaddq_f32(simd::vld1q_f32(z_row + i), v);
+      }
+      simd::vst1q_f32(z_row + i, v);
     }
   }
   mac_count_ += kLanesF32 * kLanesF32;
@@ -85,16 +94,15 @@ void AmxUnit::fma16(std::size_t x_reg, std::size_t y_reg, std::size_t z_offset,
 
   const auto* x = reinterpret_cast<const Half*>(x_.data() + x_reg * kRegBytes);
   const auto* y = reinterpret_cast<const Half*>(y_.data() + y_reg * kRegBytes);
-  // 32 x 32 outer product; each Z row holds 32 FP32 lanes across two
-  // interleaved 64-byte rows (modeled as consecutive float lanes here).
+  // Product row j lands in Z row j * 2 + z_offset (interleave 2), so the 32
+  // rows of one offset cover every other Z row.
   for (std::size_t j = 0; j < kLanesF16; ++j) {
-    auto* z_row = reinterpret_cast<float*>(
-        z_.data() + ((j % kZRows / 2) * 2 + z_offset) * kRegBytes);
+    auto* z_row =
+        reinterpret_cast<float*>(z_.data() + (j * 2 + z_offset) * kRegBytes);
     const float yj = half_to_float(y[j]);
     for (std::size_t i = 0; i < kLanesF32; ++i) {
-      // Only 16 FP32 lanes fit one Z row; the upper 16 products of each
-      // row-pair fold into the next row in real hardware. The model keeps
-      // the first 16 lanes, which is what the fp16 GEMM driver consumes.
+      // One 64-byte Z row holds 16 FP32 lanes, so the model keeps the
+      // products of X lanes 0..15 only.
       const float prod = half_to_float(x[i]) * yj;
       z_row[i] = accumulate ? z_row[i] + prod : prod;
     }

@@ -49,16 +49,21 @@ class AmxUnit {
   void zero_z();
 
   /// AMX_FMA32: 16 x 16 FP32 outer product of X[x_reg] and Y[y_reg]
-  /// accumulated into Z with row interleave 4 starting at `z_offset` (0..3).
-  /// With `accumulate` false the products overwrite instead (FMA32 with the
-  /// skip-Z-input flag).
+  /// accumulated into Z with row interleave 4 starting at `z_offset` (0..3):
+  /// lane i of Z row j * 4 + z_offset becomes z + x[i] * y[j], rounded after
+  /// the multiply and again after the add (never fused); the rows of the
+  /// other three offsets are untouched. With `accumulate` false the products
+  /// overwrite instead (FMA32 with the skip-Z-input flag).
   void fma32(std::size_t x_reg, std::size_t y_reg, std::size_t z_offset = 0,
              bool accumulate = true);
 
-  /// AMX_FMA16: 32 x 32 FP16 outer product accumulating into FP32 Z lanes,
-  /// interleave 2 (half the rows of the fp32 layout carry 32 lanes each).
-  /// Model simplification: products are computed in FP32 after converting
-  /// the FP16 inputs (matching AMX's mixed-precision accumulate mode).
+  /// AMX_FMA16: FP16 outer product accumulating into FP32 Z lanes with row
+  /// interleave 2 starting at `z_offset` (0..1): Y lane j (of 32) lands in
+  /// Z row j * 2 + z_offset, so one offset covers every other row of the
+  /// grid. Model simplifications: a 64-byte Z row holds 16 FP32 lanes, so
+  /// only X lanes 0..15 are kept (32 x 16 products, counted in mac_count),
+  /// and products are computed in FP32 after converting the FP16 inputs
+  /// (matching AMX's mixed-precision accumulate mode).
   void fma16(std::size_t x_reg, std::size_t y_reg, std::size_t z_offset = 0,
              bool accumulate = true);
 

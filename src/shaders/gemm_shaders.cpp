@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "metal/compute_pipeline.hpp"
+#include "simd/neon.hpp"
 #include "util/error.hpp"
 
 namespace ao::shaders {
@@ -45,6 +46,45 @@ void accumulate_tile(const float* a, const float* b, std::size_t n,
   }
 }
 
+/// Width of the naive launch's 8 x 8 groups (GpuNaiveGemm::kGroupEdge), and
+/// the k rows of B staged at a time for it: 8 KiB of stack.
+constexpr std::size_t kStripCols = 8;
+constexpr std::size_t kStripDepth = 256;
+
+/// accumulate_tile for a tile exactly kStripCols wide. The rows of B's
+/// 8-float column strip lie n floats apart (4 KiB at n=1024, all in one
+/// cache set), so each block of kStripDepth rows is first copied into a
+/// contiguous stack buffer; each tile row then keeps its 8 sums in two
+/// 4-lane registers over the block's ascending k (multiply, then add).
+void accumulate_strip(const float* a, const float* b, std::size_t n,
+                      std::size_t rows, float* acc) {
+  using simd::vaddq_f32;
+  using simd::vld1q_f32;
+  using simd::vmulq_n_f32;
+  using simd::vst1q_f32;
+  constexpr std::size_t kHi = simd::kNeonLanesF32;
+  alignas(64) float strip[kStripDepth * kStripCols];
+  for (std::size_t k0 = 0; k0 < n; k0 += kStripDepth) {
+    const std::size_t depth = std::min(kStripDepth, n - k0);
+    for (std::size_t kk = 0; kk < depth; ++kk) {
+      std::copy_n(b + (k0 + kk) * n, kStripCols, strip + kk * kStripCols);
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      const float* a_row = a + r * n + k0;
+      float* acc_row = acc + r * kStripCols;
+      simd::float32x4_t lo = vld1q_f32(acc_row);
+      simd::float32x4_t hi = vld1q_f32(acc_row + kHi);
+      for (std::size_t kk = 0; kk < depth; ++kk) {
+        const float* b_row = strip + kk * kStripCols;
+        lo = vaddq_f32(lo, vmulq_n_f32(vld1q_f32(b_row), a_row[kk]));
+        hi = vaddq_f32(hi, vmulq_n_f32(vld1q_f32(b_row + kHi), a_row[kk]));
+      }
+      vst1q_f32(acc_row, lo);
+      vst1q_f32(acc_row + kHi, hi);
+    }
+  }
+}
+
 /// Computes one group's `tile_rows` x `tile_cols` tile of C at (row0, col0),
 /// clipped at the matrix edge: the MSL threads past n return early. k is the
 /// outer loop, so each row of B's column panel is read once per group rather
@@ -69,6 +109,8 @@ void multiply_group_tile(const ArgumentTable& args, std::uint64_t row0,
   std::fill_n(acc, rows * cols, 0.0f);
   if (cols == kGemmTile) {
     accumulate_tile<kGemmTile>(a, b, n, rows, cols, acc);
+  } else if (cols == kStripCols) {
+    accumulate_strip(a, b, n, rows, acc);
   } else {
     accumulate_tile<0>(a, b, n, rows, cols, acc);
   }

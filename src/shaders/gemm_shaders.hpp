@@ -16,6 +16,12 @@ namespace ao::shaders {
 ///
 /// The naive shader assigns one thread per C element (row = global y,
 /// col = global x) and walks the full k dimension with no data staging.
+/// Its host emulation (see make_gemm_tiled for the shared part) stages
+/// nonetheless: a group tile exactly 8 columns wide, as at the 8 x 8
+/// launch, copies its B column strip into a fixed-size stack buffer a block
+/// of k rows at a time and keeps each row's 8 sums in registers over the
+/// block's ascending k. Other widths, ragged edges included, take the
+/// shared path.
 metal::Kernel make_gemm_naive();
 
 /// The Cutlass-style tiled shader computes one 32 x 32 C tile per 8 x 8

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "accelerate/reference_blas.hpp"
@@ -175,20 +178,82 @@ TEST(AmxUnit, SetZeroesState) {
   EXPECT_EQ(unit.mac_count(), 0u);
 }
 
+TEST(AmxUnit, Fma32IsBitExactAtEveryOffset) {
+  // Random non-integer operands in registers other than 0, Z preloaded with
+  // random values: each lane of the offset's rows must equal z + x * y (or
+  // x * y when overwriting) bit for bit, and every other row is untouched.
+  util::Xoshiro256 rng(17);
+  auto next = [&rng] { return rng.next_float() * 6.0f - 3.0f; };
+  alignas(64) float x[16];
+  alignas(64) float y[16];
+  alignas(64) float z0[AmxUnit::kZRows][16];
+  for (const bool accumulate : {true, false}) {
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+      AmxUnit unit;
+      unit.set();
+      for (auto& v : x) v = next();
+      for (auto& v : y) v = next();
+      unit.ldx(5, x);
+      unit.ldy(3, y);
+      for (std::size_t row = 0; row < AmxUnit::kZRows; ++row) {
+        for (auto& v : z0[row]) v = next();
+        unit.ldz(row, z0[row]);
+      }
+      unit.fma32(5, 3, offset, accumulate);
+      EXPECT_EQ(unit.mac_count(), 256u);
+      for (std::size_t row = 0; row < AmxUnit::kZRows; ++row) {
+        const auto z = unit.z_row_f32(row);
+        for (std::size_t i = 0; i < 16; ++i) {
+          float expected = z0[row][i];
+          if (row % 4 == offset) {
+            const float prod = x[i] * y[row / 4];
+            expected = accumulate ? z0[row][i] + prod : prod;
+          }
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(z[i]),
+                    std::bit_cast<std::uint32_t>(expected))
+              << "accumulate=" << accumulate << " offset=" << offset
+              << " row=" << row << " lane=" << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(AmxUnit, Fma16ComputesThroughHalf) {
   AmxUnit unit;
   unit.set();
   alignas(64) Half x[32];
   alignas(64) Half y[32];
   for (int i = 0; i < 32; ++i) {
-    x[i] = float_to_half(0.5f);
-    y[i] = float_to_half(2.0f);
+    x[i] = float_to_half(1.0f);
+    y[i] = float_to_half(static_cast<float>(i + 1));
   }
   unit.ldx(0, x);
   unit.ldy(0, y);
   unit.fma16(0, 0);
-  // First lane of the first row pair: 0.5 * 2.0 accumulated at least once.
-  EXPECT_GT(unit.z_row_f32(0)[0], 0.0f);
+  // Y lane j lands alone in Z row j * 2: rows 0, 2, ..., 62 read 1..32 and
+  // the offset-1 rows stay zero.
+  for (std::size_t j = 0; j < 32; ++j) {
+    for (std::size_t i = 0; i < 16; ++i) {
+      ASSERT_EQ(unit.z_row_f32(j * 2)[i], static_cast<float>(j + 1))
+          << "row " << j * 2 << " lane " << i;
+      ASSERT_EQ(unit.z_row_f32(j * 2 + 1)[i], 0.0f)
+          << "row " << j * 2 + 1 << " lane " << i;
+    }
+  }
+  EXPECT_EQ(unit.mac_count(), 512u);
+
+  // Offset 1 fills the odd rows, twice when accumulating.
+  unit.fma16(0, 0, 1);
+  unit.fma16(0, 0, 1);
+  for (std::size_t j = 0; j < 32; ++j) {
+    EXPECT_EQ(unit.z_row_f32(j * 2)[0], static_cast<float>(j + 1)) << j;
+    EXPECT_EQ(unit.z_row_f32(j * 2 + 1)[0], static_cast<float>(2 * (j + 1)))
+        << j;
+  }
+  unit.fma16(0, 0, 1, /*accumulate=*/false);
+  EXPECT_EQ(unit.z_row_f32(63)[15], 32.0f);
+  EXPECT_THROW(unit.fma16(0, 0, 2), util::InvalidArgument);
 }
 
 // ----------------------------------------------------------- amx_sgemm -----
@@ -263,6 +328,45 @@ TEST(AmxGemm, LeadingDimensions) {
   EXPECT_LE(
       accelerate::reference::max_abs_diff(expected.data(), c.data(), n, n, ld),
       accelerate::reference::gemm_tolerance(n));
+}
+
+TEST(AmxGemm, BitExactAgainstAscendingKDotProduct) {
+  // Every element starts at 0.0f and adds a[i][kk] * b[kk][j] in ascending
+  // kk, serially and on the pool, ragged edges and padded leading dimensions
+  // included.
+  struct Shape {
+    std::size_t m, n, k, ld_pad;
+  };
+  for (const Shape& s : {Shape{37, 23, 45, 0}, Shape{16, 16, 16, 0},
+                         Shape{50, 33, 17, 3}, Shape{1, 17, 100, 0},
+                         Shape{64, 48, 129, 5}}) {
+    const std::size_t lda = s.k + s.ld_pad;
+    const std::size_t ldb = s.n + s.ld_pad;
+    const std::size_t ldc = s.n + s.ld_pad;
+    std::vector<float> a(s.m * lda);
+    std::vector<float> b(s.k * ldb);
+    util::fill_uniform(std::span<float>(a), 300 + s.m);
+    util::fill_uniform(std::span<float>(b), 400 + s.n);
+    std::vector<float> expected(s.m * ldc, 0.0f);
+    for (std::size_t i = 0; i < s.m; ++i) {
+      for (std::size_t j = 0; j < s.n; ++j) {
+        float sum = 0.0f;
+        for (std::size_t kk = 0; kk < s.k; ++kk) {
+          sum += a[i * lda + kk] * b[kk * ldb + j];
+        }
+        expected[i * ldc + j] = sum;
+      }
+    }
+    for (const int threads : {1, 0}) {
+      std::vector<float> c(s.m * ldc, 0.0f);
+      amx_sgemm(s.m, s.n, s.k, 1.0f, a.data(), lda, b.data(), ldb, 0.0f,
+                c.data(), ldc, threads);
+      ASSERT_EQ(
+          std::memcmp(c.data(), expected.data(), c.size() * sizeof(float)), 0)
+          << "m=" << s.m << " n=" << s.n << " k=" << s.k
+          << " threads=" << threads;
+    }
+  }
 }
 
 TEST(AmxGemm, RejectsNullAndBadLd) {
